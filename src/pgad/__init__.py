@@ -17,14 +17,7 @@ from .data import (
     make_windows,
 )
 from .errors import ConfigError, DataError, DivergenceError, PgadError
-from .graph import (
-    NodeEmbeddings,
-    assign_slot,
-    build_slot_graphs,
-    cosine_similarity,
-    init_embeddings,
-    topk_adjacency,
-)
+from .graph import cosine_similarity, topk_adjacency
 from .model import Model, ModelConfig
 from .period import PeriodProfile, amplitude_spectrum, detect_period
 from .scoring import (
@@ -47,7 +40,6 @@ __all__ = [
     "MetricsReport",
     "Model",
     "ModelConfig",
-    "NodeEmbeddings",
     "NormalizationStats",
     "PeriodProfile",
     "PgadError",
@@ -58,9 +50,7 @@ __all__ = [
     "TrainReport",
     "WindowBatch",
     "amplitude_spectrum",
-    "assign_slot",
     "best_f1_threshold",
-    "build_slot_graphs",
     "cosine_similarity",
     "detect_period",
     "evaluate",
@@ -68,7 +58,6 @@ __all__ = [
     "generate_synthetic",
     "grid_search",
     "ingest_csv",
-    "init_embeddings",
     "load_checkpoint",
     "make_windows",
     "save_checkpoint",

@@ -28,6 +28,21 @@ def config_digest(config: ModelConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def param_checksum(params: dict[str, np.ndarray], order: list[str]) -> str:
+    digest = hashlib.sha256()
+    for name in order:
+        digest.update(np.ascontiguousarray(params[name]).tobytes())
+    return digest.hexdigest()
+
+
+def _check_meta_int(path, meta: dict, key: str, lo: int, hi: float = float("inf")) -> None:
+    value = meta.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise DataError(
+            f"checkpoint {path} meta {key}={value!r} is not an integer in [{lo}, {hi}]"
+        )
+
+
 @dataclass
 class Checkpoint:
     config: ModelConfig
@@ -167,6 +182,13 @@ def load_checkpoint(path) -> Checkpoint:
     stray = [k for k in arrays if k.startswith("param__") and k[len("param__"):] not in expected]
     if stray:
         raise DataError(f"checkpoint {path} has unknown parameters: {sorted(stray)}")
+    train_meta = meta.get("train")
+    if isinstance(train_meta, dict) and "checksum" in train_meta:
+        if param_checksum(params, list(expected)) != train_meta["checksum"]:
+            raise DataError(f"checkpoint {path} parameters do not match their checksum")
+    _check_meta_int(path, meta, "period", 1)
+    _check_meta_int(path, meta, "neighbors", 1, config.n_sensors - 1)
+    _check_meta_int(path, meta, "train_length", 0)
     if "val_errors" not in arrays:
         raise DataError(f"checkpoint {path} missing validation errors")
     val_errors = arrays["val_errors"].astype(np.float64)

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,10 @@ from .experiments import (
     ablation_f1s,
     sweep_f1s,
 )
-from .graph import cosine_similarity, topk_adjacency
+from .graph import cosine_similarity
 from .period import detect_period
 from .scoring import score_series
-from .training import LR_GRID, TrainConfig, grid_search, train
+from .training import LR_GRID, TrainConfig, build_adjacencies, grid_search, train
 
 log = logging.getLogger(__name__)
 
@@ -239,10 +240,9 @@ def cmd_graph(args, file_cfg) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = ckpt.meta["sensor_names"]
-    k = ckpt.meta["neighbors"]
-    for slot in range(ckpt.config.slots):
+    adjacencies = build_adjacencies(ckpt.params, ckpt.config.slots, ckpt.meta["neighbors"])
+    for slot, adjacency in enumerate(adjacencies):
         similarity = cosine_similarity(ckpt.params[f"emb_{slot}"])
-        adjacency = topk_adjacency(similarity, k)
         path = out_dir / f"slot_{slot}_edges.csv"
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -314,19 +314,27 @@ def cmd_score(args, file_cfg) -> int:
     settings = _score_settings(args, file_cfg)
     trace, metrics = score_series(ckpt, series, **settings)
     names = ckpt.meta["sensor_names"]
+    labels_true = trace.labels_true
+    columns = ["t", "score", "smoothed", "label_pred"]
+    if labels_true is not None:
+        columns.append("label_true")
+    threshold = _fmt(trace.threshold)
 
-    with open(args.scores, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["t", "score", "smoothed", "label_pred"]
-        if trace.labels_true is not None:
-            header.append("label_true")
-        header.append("top_sensor")
-        writer.writerow(header)
+    # one row of fields feeds both files: the plot line inserts the
+    # threshold column and leaves out the sensor name
+    with ExitStack() as stack:
+        writer = csv.writer(stack.enter_context(open(args.scores, "w", newline="")))
+        plot = stack.enter_context(open(args.plot, "w")) if args.plot else None
+        writer.writerow(columns + ["top_sensor"])
+        if plot is not None:
+            plot.write("# " + " ".join(columns[:3] + ["threshold"] + columns[3:]) + "\n")
         for i in range(trace.scores.size):
-            row = [trace.t0 + i, _fmt(trace.scores[i]), _fmt(trace.smoothed[i]),
-                   int(trace.labels_pred[i])]
-            if trace.labels_true is not None:
-                row.append(int(trace.labels_true[i]))
+            row = [str(trace.t0 + i), _fmt(trace.scores[i]), _fmt(trace.smoothed[i]),
+                   str(int(trace.labels_pred[i]))]
+            if labels_true is not None:
+                row.append(str(int(labels_true[i])))
+            if plot is not None:
+                plot.write(" ".join(row[:3] + [threshold] + row[3:]) + "\n")
             row.append(names[trace.top_sensor[i]])
             writer.writerow(row)
 
@@ -341,17 +349,6 @@ def cmd_score(args, file_cfg) -> int:
     if metrics is not None:
         payload["metrics"] = metrics.to_dict()
     _write_json(args.metrics, payload)
-
-    if args.plot:
-        with open(args.plot, "w") as handle:
-            handle.write("# t score smoothed threshold label_pred"
-                         + (" label_true" if trace.labels_true is not None else "") + "\n")
-            for i in range(trace.scores.size):
-                cols = [str(trace.t0 + i), _fmt(trace.scores[i]), _fmt(trace.smoothed[i]),
-                        _fmt(trace.threshold), str(int(trace.labels_pred[i]))]
-                if trace.labels_true is not None:
-                    cols.append(str(int(trace.labels_true[i])))
-                handle.write(" ".join(cols) + "\n")
 
     print(f"scored {trace.scores.size} timestamps from t={trace.t0}")
     print(f"threshold ({trace.threshold_mode}): {trace.threshold:.6f}; "

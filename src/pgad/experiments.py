@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from concurrent.futures import ProcessPoolExecutor
 
 from .checkpoint import checkpoint_from_result
 from .data import SeriesMatrix
 from .errors import ConfigError
 from .scoring import score_series
-from .training import TrainConfig, train
+from .training import TrainConfig, pool_map, train
 
 log = logging.getLogger(__name__)
 
@@ -83,11 +82,19 @@ def _run_cell(args):
     return train_and_score(train_series, test_series, config, **score_kwargs)
 
 
-def _run_cells(jobs, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_cell, jobs))
-    return [_run_cell(job) for job in jobs]
+def _mean_f1s(train_series, test_series, configs, seeds, workers, score_kwargs):
+    """(mean F1 over seeds, per-seed cells) for each config, in order."""
+    jobs = [
+        (train_series, test_series, dataclasses.replace(config, seed=seed), score_kwargs)
+        for config in configs
+        for seed in seeds
+    ]
+    cells = pool_map(_run_cell, jobs, workers)
+    out = []
+    for i in range(0, len(cells), len(seeds)):
+        per_seed = cells[i : i + len(seeds)]
+        out.append((sum(c["f1"] for c in per_seed) / len(per_seed), per_seed))
+    return out
 
 
 def ablation_f1s(
@@ -101,22 +108,11 @@ def ablation_f1s(
     **score_kwargs,
 ) -> dict[str, dict]:
     """F1 per ablation variant, averaged over seeds."""
-    for variant in variants:
-        variant_config(base_config, variant)
-    jobs = [
-        (train_series, test_series,
-         dataclasses.replace(variant_config(base_config, variant), seed=seed),
-         score_kwargs)
-        for variant in variants
-        for seed in seeds
-    ]
-    cells = _run_cells(jobs, workers)
+    configs = [variant_config(base_config, variant) for variant in variants]
     table: dict[str, dict] = {}
-    i = 0
-    for variant in variants:
-        per_seed = cells[i : i + len(seeds)]
-        i += len(seeds)
-        mean_f1 = sum(c["f1"] for c in per_seed) / len(per_seed)
+    for variant, (mean_f1, per_seed) in zip(
+        variants, _mean_f1s(train_series, test_series, configs, seeds, workers, score_kwargs)
+    ):
         table[variant] = {"mean_f1": mean_f1, "per_seed": per_seed}
         log.info("ablation %s: mean F1 %.4f", variant, mean_f1)
     return table
@@ -136,20 +132,11 @@ def sweep_f1s(
     """F1 per swept value, averaged over seeds; rows keep sweep order."""
     if not values:
         raise ConfigError("sweep needs at least one value")
-    jobs = [
-        (train_series, test_series,
-         dataclasses.replace(axis_config(base_config, axis, value), seed=seed),
-         score_kwargs)
-        for value in values
-        for seed in seeds
-    ]
-    cells = _run_cells(jobs, workers)
+    configs = [axis_config(base_config, axis, value) for value in values]
     rows = []
-    i = 0
-    for value in values:
-        per_seed = cells[i : i + len(seeds)]
-        i += len(seeds)
-        mean_f1 = sum(c["f1"] for c in per_seed) / len(per_seed)
+    for value, (mean_f1, per_seed) in zip(
+        values, _mean_f1s(train_series, test_series, configs, seeds, workers, score_kwargs)
+    ):
         rows.append({"value": int(value), "mean_f1": mean_f1, "per_seed": per_seed})
         log.info("sweep %s=%d: mean F1 %.4f", axis, value, mean_f1)
     return rows

@@ -9,54 +9,7 @@ attention layer handles the self term explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class NodeEmbeddings:
-    """One trainable N x d matrix per phase slot."""
-
-    slots: list[np.ndarray]
-
-    def __post_init__(self):
-        if not self.slots:
-            raise ValueError("need at least one embedding slot")
-        shape = self.slots[0].shape
-        for m in self.slots:
-            if m.ndim != 2 or m.shape != shape:
-                raise ValueError("all embedding slots must share one N x d shape")
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.slots)
-
-    @property
-    def n_sensors(self) -> int:
-        return self.slots[0].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.slots[0].shape[1]
-
-
-def init_embeddings(
-    n_sensors: int, dim: int, n_slots: int, rng: np.random.Generator
-) -> NodeEmbeddings:
-    """Uniform init on [-1/sqrt(d), 1/sqrt(d)]; zero rows are re-drawn so
-    cosine similarity stays defined."""
-    bound = 1.0 / np.sqrt(dim)
-    slots = []
-    for _ in range(n_slots):
-        m = rng.uniform(-bound, bound, (n_sensors, dim))
-        while True:
-            zero = np.linalg.norm(m, axis=1) == 0.0
-            if not zero.any():
-                break
-            m[zero] = rng.uniform(-bound, bound, (int(zero.sum()), dim))
-        slots.append(m)
-    return NodeEmbeddings(slots)
 
 
 def cosine_similarity(embedding: np.ndarray) -> np.ndarray:
@@ -94,20 +47,3 @@ def topk_adjacency(similarity: np.ndarray, k: int) -> np.ndarray:
         order = np.argsort(-col, kind="stable")
         adjacency[order[:k], i] = 1.0
     return adjacency
-
-
-def build_slot_graphs(embeddings: NodeEmbeddings, k: int) -> list[np.ndarray]:
-    """One TopK adjacency per phase slot, from that slot's embeddings."""
-    return [topk_adjacency(cosine_similarity(m), k) for m in embeddings.slots]
-
-
-def assign_slot(window_start: int, period: int, window: int, n_slots: int) -> int:
-    """Phase bin of a window, from its start index alone.
-
-    `window` is part of the call contract for alternative slotting
-    strategies but the start phase decides the bin.
-    """
-    del window
-    if period < 1 or n_slots < 1:
-        raise ValueError("period and n_slots must be positive")
-    return ((window_start % period) * n_slots) // period

@@ -106,10 +106,6 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return ex / denom
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
 
@@ -127,11 +123,22 @@ def _rowwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def project_input(window: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Shared linear map from a raw window to a d-dim feature, per sensor."""
+    """Shared per-sensor affine map x @ weight.T + bias.
+
+    Maps raw windows to d-dim features, and reduces the flattened conv
+    features to the temporal width.
+    """
     return _rowwise(np.asarray(window), weight) + bias
 
 
-def _attention_parts(embedding, adjacency, att_w, att_a, slope):
+def attention_coefficients(embedding, adjacency, att_w, att_a, slope: float = 0.2) -> dict:
+    """Attention weights alpha[i, j] over j in N(i) and i itself.
+
+    Entries outside the neighborhood are zero; each defined row sums to 1.
+    `adjacency[j, i] = 1` marks j as an in-neighbor of target i. Returns
+    alpha with the projected embeddings `v`, the pre-activation logits
+    `raw`, the activated `logits` and the neighborhood `mask`.
+    """
     n = embedding.shape[0]
     v = _rowwise(embedding, att_w)
     d_prime = v.shape[1]
@@ -144,40 +151,15 @@ def _attention_parts(embedding, adjacency, att_w, att_a, slope):
     return {"v": v, "raw": raw, "logits": logits, "mask": mask, "alpha": alpha}
 
 
-def attention_coefficients(embedding, adjacency, att_w, att_a, slope: float = 0.2):
-    """Attention weights alpha[i, j] over j in N(i) and i itself.
+def spatial_aggregate(x_proj, alpha, att_w) -> dict:
+    """h_i = ReLU(sum_j alpha[i, j] * W x'_j), the self term included in alpha.
 
-    Entries outside the neighborhood are zero; each defined row sums to 1.
-    `adjacency[j, i] = 1` marks j as an in-neighbor of target i.
+    Returns `h_s` with the projected features `wx` and the ReLU mask.
     """
-    return _attention_parts(embedding, adjacency, att_w, att_a, slope)["alpha"]
-
-
-def graph_attention_forward(x_proj, alpha, att_w):
-    """h_i = ReLU(sum_j alpha[i, j] * W x'_j), the self term included in alpha."""
     wx = _rowwise(x_proj, att_w)
-    return relu(_ordered_mix(alpha, wx))
-
-
-def dilated_conv(x, filt, dilation: int = 1) -> np.ndarray:
-    """Causal valid-mode dilated convolution of a 1-D sequence.
-
-    out(t) = sum_s filt[s] * x(t - dilation * s), defined for the input
-    positions where every tap exists.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    filt = np.asarray(filt, dtype=np.float64)
-    span = dilation * (len(filt) - 1)
-    if x.shape[-1] <= span:
-        raise ValueError(
-            f"sequence of length {x.shape[-1]} shorter than receptive field {span + 1}"
-        )
-    out_len = x.shape[-1] - span
-    out = np.zeros(x.shape[:-1] + (out_len,))
-    for s, coef in enumerate(filt):
-        lo = span - dilation * s
-        out += coef * x[..., lo : lo + out_len]
-    return out
+    pre_s = _ordered_mix(alpha, wx)
+    s_mask = pre_s > 0
+    return {"wx": wx, "s_mask": s_mask, "h_s": np.where(s_mask, pre_s, 0.0)}
 
 
 def _conv_taps(x, kernel, dilation, base, out_len):
@@ -204,26 +186,36 @@ def _conv_layer_forward(x, filters, kernel_sizes, dilation):
     return np.concatenate(outs, axis=-2), base, out_len
 
 
-def temporal_module_forward(window, filter_layers, dilation: int = 1):
-    """Multi-scale dilated conv stack over raw windows.
+def conv_stack(window, filter_layers, dilation: int = 1) -> dict:
+    """Multi-scale dilated causal conv stack over raw windows.
 
     `window` is (..., N, w); `filter_layers` is a list (one entry per conv
     layer, dilation doubling after each) of {kernel_size: (C, in_ch, c)}
     filter banks. Every kernel's output is truncated to the receptive
     field of the largest kernel, keeping the most recent positions, then
     channels are concatenated and passed through ReLU. Returns the
-    features flattened to (..., N, channels * L_out).
+    features flattened to `t_flat` (..., N, channels * L_out) and, in
+    `conv`, each layer's input, ReLU mask and geometry.
     """
     x = np.asarray(window, dtype=np.float64)[..., None, :]
+    layers = []
     q = dilation
     for filters in filter_layers:
-        pre, _, _ = _conv_layer_forward(x, filters, sorted(filters), q)
-        x = relu(pre)
+        pre, base, out_len = _conv_layer_forward(x, filters, sorted(filters), q)
+        mask = pre > 0
+        layers.append({"x": x, "mask": mask, "dilation": q, "base": base, "out_len": out_len})
+        x = np.where(mask, pre, 0.0)
         q *= 2
-    return x.reshape(x.shape[:-2] + (-1,))
+    return {"conv": layers, "t_flat": x.reshape(x.shape[:-2] + (-1,))}
 
 
-def _layer_norm_mlp(fused, params, ln_eps):
+def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
+    """[h_t || h_s] -> LayerNorm -> 2-layer MLP -> per-node scalar `pred`.
+
+    `h_t` may be None when the temporal branch is disabled. Also returns
+    the normalized input, LayerNorm and MLP activations backward needs.
+    """
+    fused = h_s if h_t is None else np.concatenate([h_t, h_s], axis=-1)
     mu = fused.mean(-1, keepdims=True)
     var = fused.var(-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + ln_eps)
@@ -237,15 +229,6 @@ def _layer_norm_mlp(fused, params, ln_eps):
         "xhat": xhat, "inv_std": inv_std, "y_ln": y_ln,
         "z1_mask": z1_mask, "r1": r1, "pred": pred,
     }
-
-
-def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5):
-    """[h_t || h_s] -> LayerNorm -> 2-layer MLP -> per-node scalar.
-
-    `h_t` may be None when the temporal branch is disabled.
-    """
-    fused = h_s if h_t is None else np.concatenate([h_t, h_s], axis=-1)
-    return _layer_norm_mlp(fused, params, ln_eps)["pred"]
 
 
 # ---------------------------------------------------------------------------
@@ -356,42 +339,22 @@ class Model:
 
     def _forward_group(self, xw, slot, adjacency, params):
         cfg = self.config
-        b, n, _ = xw.shape
-        xp = project_input(xw, params["proj_w"], params["proj_b"])
-        att = _attention_parts(
+        group = {"window": xw, "x_proj": project_input(xw, params["proj_w"], params["proj_b"])}
+        group["att"] = attention_coefficients(
             params[f"emb_{slot}"], adjacency, params["att_w"], params["att_a"],
             cfg.leaky_slope,
         )
-        wx = _rowwise(xp, params["att_w"])
-        pre_s = _ordered_mix(att["alpha"], wx)
-        s_mask = pre_s > 0
-        h_s = np.where(s_mask, pre_s, 0.0)
-
-        conv_layers = None
-        t_flat = None
+        group.update(spatial_aggregate(group["x_proj"], group["att"]["alpha"], params["att_w"]))
+        h_t = None
         if cfg.use_temporal:
-            conv_layers = []
-            x = xw[..., None, :]
-            for l, q in enumerate(cfg.conv_layer_dilations()):
-                filters = {c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}
-                pre, base, out_len = _conv_layer_forward(x, filters, cfg.kernel_sizes, q)
-                mask = pre > 0
-                conv_layers.append(
-                    {"x": x, "mask": mask, "dilation": q, "base": base, "out_len": out_len}
-                )
-                x = np.where(mask, pre, 0.0)
-            t_flat = x.reshape(b, n, -1)
-            t_red = _rowwise(t_flat, params["tred_w"]) + params["tred_b"]
-            fused = np.concatenate([t_red, h_s], axis=-1)
-        else:
-            fused = h_s
-
-        head = _layer_norm_mlp(fused, params, cfg.ln_eps)
-        return {
-            "window": xw, "x_proj": xp, "att": att, "wx": wx,
-            "s_mask": s_mask, "h_s": h_s, "conv": conv_layers, "t_flat": t_flat,
-            **head,
-        }
+            filter_layers = [
+                {c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}
+                for l in range(cfg.tcn_layers)
+            ]
+            group.update(conv_stack(xw, filter_layers, cfg.dilation))
+            h_t = project_input(group["t_flat"], params["tred_w"], params["tred_b"])
+        group.update(fuse_and_predict(group["h_s"], h_t, params, cfg.ln_eps))
+        return group
 
     def predict(self, windows, slot_ids, adjacencies, params, chunk_size: int = 256):
         """Forward without keeping traces; chunked to bound memory."""

@@ -32,23 +32,31 @@ class PeriodProfile:
         return [(int(i) + 1, float(self.amplitudes[i])) for i in order]
 
 
+def dominant_periods(values: np.ndarray):
+    """Spectrum and dominant period of each (..., N, T) block of series.
+
+    Averages the per-sensor DFT magnitudes of bins 1..floor(T/2) over the
+    N axis, picks the strongest bin f (ties go to the lower bin, i.e. the
+    longer period) and sets period = ceil(T / f). A flat spectrum falls
+    back to period = T with f = 1 as a sentinel and the aperiodic flag set.
+    Returns (amplitudes, dominant_frequency, period, aperiodic) arrays.
+    """
+    length = values.shape[-1]
+    amps = np.abs(np.fft.rfft(values, axis=-1))[..., 1 : length // 2 + 1].mean(axis=-2)
+    aperiodic = amps.max(axis=-1) <= APERIODIC_EPS
+    freq = np.where(aperiodic, 1, amps.argmax(axis=-1) + 1)
+    period = np.where(aperiodic, length, (length + freq - 1) // freq)
+    return amps, freq, period, aperiodic
+
+
 def amplitude_spectrum(series: SeriesMatrix) -> np.ndarray:
     """Per-sensor DFT magnitudes for bins 1..floor(T/2), averaged over sensors."""
-    if series.length < 4:
-        raise DataError(f"need T >= 4 for a spectrum, got T={series.length}")
-    mags = np.abs(np.fft.rfft(series.values, axis=1))
-    return mags[:, 1 : series.length // 2 + 1].mean(axis=0)
+    return detect_period(series).amplitudes
 
 
 def detect_period(series: SeriesMatrix) -> PeriodProfile:
-    """Pick the strongest non-DC bin; ties go to the lower bin (longer period).
-
-    A flat spectrum (constant input) falls back to period = T with
-    dominant_frequency = 1 as a sentinel and the aperiodic flag set.
-    """
-    amps = amplitude_spectrum(series)
-    if amps.max() <= APERIODIC_EPS:
-        return PeriodProfile(amps, 1, series.length, aperiodic=True)
-    freq = int(np.argmax(amps)) + 1
-    period = (series.length + freq - 1) // freq
-    return PeriodProfile(amps, freq, period)
+    """Dominant period of a whole series; see `dominant_periods`."""
+    if series.length < 4:
+        raise DataError(f"need T >= 4 for a spectrum, got T={series.length}")
+    amps, freq, period, aperiodic = dominant_periods(series.values)
+    return PeriodProfile(amps, int(freq), int(period), bool(aperiodic))

@@ -11,7 +11,6 @@ returned for later score calibration.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import param_checksum
 from .data import SeriesMatrix, fit_normalizer, make_windows
 from .errors import DataError, DivergenceError
 from .graph import cosine_similarity, topk_adjacency
 from .model import Model, ModelConfig
-from .period import APERIODIC_EPS, PeriodProfile, detect_period
+from .period import PeriodProfile, detect_period, dominant_periods
 
 log = logging.getLogger(__name__)
 
@@ -162,13 +162,6 @@ def adam_step(
             raise DivergenceError(f"parameter {name} became non-finite during training")
 
 
-def param_checksum(params: dict[str, np.ndarray], order: list[str]) -> str:
-    digest = hashlib.sha256()
-    for name in order:
-        digest.update(np.ascontiguousarray(params[name]).tobytes())
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -217,15 +210,6 @@ def build_adjacencies(params: dict[str, np.ndarray], n_slots: int, k: int) -> li
     return adjacencies
 
 
-def _per_window_periods(windows: np.ndarray) -> np.ndarray:
-    """Dominant period of each window from its own amplitude spectrum."""
-    w = windows.shape[-1]
-    spectrum = np.abs(np.fft.rfft(windows, axis=-1))[..., 1 : w // 2 + 1].mean(axis=1)
-    freq = spectrum.argmax(axis=-1) + 1
-    periods = (w + freq - 1) // freq
-    return np.where(spectrum.max(axis=-1) <= APERIODIC_EPS, w, periods)
-
-
 def slot_ids_for_windows(
     starts: np.ndarray,
     period: int,
@@ -242,7 +226,9 @@ def slot_ids_for_windows(
     if per_window:
         if windows is None:
             raise ValueError("per-window slot assignment needs the window contents")
-        period = _per_window_periods(windows)
+        period = dominant_periods(windows)[2]
+    if np.min(period) < 1 or n_slots < 1:
+        raise ValueError("period and n_slots must be positive")
     return ((starts % period) * n_slots) // period
 
 
@@ -382,6 +368,14 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 # learning-rate grid
 
+def pool_map(fn, jobs: list, workers: int) -> list:
+    """`fn` over `jobs` in order; in a pool of `workers` processes when > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 @dataclass
 class GridResult:
     entries: list[dict]
@@ -411,12 +405,7 @@ def grid_search(
     """
     if not lrs:
         raise ValueError("learning-rate grid is empty")
-    jobs = [(series, config, lr) for lr in lrs]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_grid_cell, jobs))
-    else:
-        cells = [_grid_cell(job) for job in jobs]
+    cells = pool_map(_grid_cell, [(series, config, lr) for lr in lrs], workers)
 
     entries = []
     best: tuple[float, float] | None = None  # (val_loss, lr)

@@ -13,7 +13,7 @@ import numpy as np
 
 from pgad.data import SeriesMatrix
 from pgad.model import Model, ModelConfig
-from pgad.training import l2_loss
+from pgad.training import build_adjacencies, l2_loss
 
 
 def brute_spectrum(values: np.ndarray) -> np.ndarray:
@@ -28,6 +28,32 @@ def brute_spectrum(values: np.ndarray) -> np.ndarray:
         sin_part = values @ np.sin(angle)
         out[f - 1] = np.mean(np.hypot(cos_part, sin_part))
     return out
+
+
+def dilated_conv(x, filt, dilation: int = 1) -> np.ndarray:
+    """Causal valid-mode dilated convolution of a 1-D sequence.
+
+    out(t) = sum_s filt[s] * x(t - dilation * s), defined for the input
+    positions where every tap exists.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    filt = np.asarray(filt, dtype=np.float64)
+    span = dilation * (len(filt) - 1)
+    if x.shape[-1] <= span:
+        raise ValueError(
+            f"sequence of length {x.shape[-1]} shorter than receptive field {span + 1}"
+        )
+    out_len = x.shape[-1] - span
+    out = np.zeros(x.shape[:-1] + (out_len,))
+    for s, coef in enumerate(filt):
+        lo = span - dilation * s
+        out += coef * x[..., lo : lo + out_len]
+    return out
+
+
+def assign_slot(window_start: int, period: int, n_slots: int) -> int:
+    """Phase bin of one window from its start index alone."""
+    return ((window_start % period) * n_slots) // period
 
 
 def series_of(values, names=None, labels=None) -> SeriesMatrix:
@@ -58,19 +84,13 @@ def tiny_model_config(**overrides) -> ModelConfig:
 
 def random_instance(seed: int, config: ModelConfig, batch: int = 3, k: int = 2):
     """A model, random params, random batch, and per-slot adjacencies."""
-    from pgad.graph import build_slot_graphs, cosine_similarity, topk_adjacency
-
     rng = np.random.default_rng(seed)
     model = Model(config)
     params = model.init_params(rng)
     windows = rng.normal(0.0, 1.0, (batch, config.n_sensors, config.window))
     targets = rng.normal(0.0, 1.0, (batch, config.n_sensors))
     slot_ids = rng.integers(0, config.slots, batch)
-    k_eff = min(k, config.n_sensors - 1)
-    adjacencies = [
-        topk_adjacency(cosine_similarity(params[f"emb_{s}"]), k_eff)
-        for s in range(config.slots)
-    ]
+    adjacencies = build_adjacencies(params, config.slots, min(k, config.n_sensors - 1))
     return model, params, windows, slot_ids, adjacencies, targets
 
 

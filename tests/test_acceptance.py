@@ -15,7 +15,7 @@ from pgad import cli
 from pgad.checkpoint import checkpoint_from_result
 from pgad.data import generate_synthetic
 from pgad.experiments import ablation_f1s, sweep_f1s
-from pgad.graph import assign_slot, cosine_similarity, topk_adjacency
+from pgad.graph import cosine_similarity, topk_adjacency
 from pgad.model import attention_coefficients
 from pgad.period import detect_period
 from pgad.scoring import (
@@ -26,7 +26,7 @@ from pgad.scoring import (
     point_adjust_predictions,
     score_series,
 )
-from pgad.training import TrainConfig, train
+from pgad.training import TrainConfig, slot_ids_for_windows, train
 
 from helpers import (
     brute_spectrum,
@@ -145,8 +145,8 @@ def test_criterion_3_adjacency(capsys):
             period = int(rng.integers(2, 100))
             slots = int(rng.integers(1, 9))
             t = int(rng.integers(0, 5000))
-            here = assign_slot(t, period, 64, slots)
-            assert here == assign_slot(t + period, period, 64, slots)
+            here, later = slot_ids_for_windows(np.array([t, t + period]), period, slots)
+            assert here == later
             assert 0 <= here < slots
 
 
@@ -162,7 +162,7 @@ def test_criterion_4_attention(capsys):
             for s, adjacency in enumerate(adjacencies):
                 alpha = attention_coefficients(
                     params[f"emb_{s}"], adjacency, params["att_w"], params["att_a"]
-                )
+                )["alpha"]
                 assert np.abs(alpha.sum(axis=1) - 1.0).max() <= 1e-6
 
             isolated = attention_coefficients(
@@ -170,7 +170,7 @@ def test_criterion_4_attention(capsys):
                 np.zeros((config.n_sensors, config.n_sensors)),
                 params["att_w"],
                 params["att_a"],
-            )
+            )["alpha"]
             assert np.array_equal(isolated, np.eye(config.n_sensors))
 
             perm = np.random.default_rng(seed).permutation(config.n_sensors)

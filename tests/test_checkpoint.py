@@ -117,3 +117,36 @@ class TestRejection:
         )
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_tampered_parameter(self, trained, tmp_path):
+        path = self.save(trained, tmp_path)
+        data = dict(np.load(path, allow_pickle=False))
+        data["param__mlp_b2"] = data["param__mlp_b2"] + 1.0
+        np.savez_compressed(path, **data)
+        with pytest.raises(DataError, match="checksum"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("period", 0),
+            ("period", 2.5),
+            ("period", None),
+            ("neighbors", 0),
+            ("neighbors", 4),
+            ("train_length", -1),
+            ("train_length", None),
+        ],
+    )
+    def test_invalid_meta_rejected(self, trained, tmp_path, key, value):
+        path = self.save(trained, tmp_path)
+
+        def mutate(meta, data):
+            if value is None:
+                del meta[key]
+            else:
+                meta[key] = value
+
+        self.rewrite_meta(path, mutate)
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path)

@@ -285,6 +285,42 @@ class TestGraphDump:
             assert all(-1.0 <= float(r["similarity"]) <= 1.0 for r in rows)
 
 
+def tampered_checkpoint(source, tmp_path, mutate):
+    """Copy of a checkpoint after `mutate(meta, arrays)` edited it."""
+    data = dict(np.load(source, allow_pickle=False))
+    meta = json.loads(str(data["meta"]))
+    mutate(meta, data)
+    data["meta"] = np.array(json.dumps(meta))
+    path = tmp_path / "tampered.npz"
+    np.savez_compressed(path, **data)
+    return path
+
+
+class TestCorruptCheckpoint:
+    def exit_codes(self, cli_workspace, tmp_path, path):
+        score = cli.main([
+            "score", str(path), str(cli_workspace / "test.csv"),
+            "--scores", str(tmp_path / "s.csv"), "--metrics", str(tmp_path / "m.json"),
+        ])
+        graph = cli.main(["graph", str(path), "--out-dir", str(tmp_path / "graphs")])
+        return score, graph
+
+    def test_altered_weights_exit_two(self, cli_workspace, tmp_path):
+        def bump(meta, data):
+            data["param__mlp_b2"] = data["param__mlp_b2"] + 1.0
+
+        path = tampered_checkpoint(cli_workspace / "checkpoint.npz", tmp_path, bump)
+        assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
+
+    @pytest.mark.parametrize("key,value", [("period", 0), ("neighbors", 9)])
+    def test_invalid_meta_exits_two(self, cli_workspace, tmp_path, key, value):
+        path = tampered_checkpoint(
+            cli_workspace / "checkpoint.npz", tmp_path,
+            lambda meta, data: meta.update({key: value}),
+        )
+        assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
+
+
 class TestAblateCommand:
     def test_table_and_json(self, cli_workspace, tmp_path, capsys):
         out = tmp_path / "ablation.json"

@@ -11,7 +11,7 @@ from pgad.experiments import (
     train_and_score,
     variant_config,
 )
-from pgad.training import TrainConfig
+from pgad.training import TrainConfig, grid_search
 
 TINY = TrainConfig(
     window=16, neighbors=2, slots=2, epochs=1, patience=1, batch_size=16,
@@ -83,3 +83,22 @@ class TestCells:
     def test_empty_sweep_rejected(self, tiny_splits):
         with pytest.raises(ConfigError):
             sweep_f1s(*tiny_splits, TINY, "neighbors", ())
+
+    def test_process_pool_matches_serial(self, tiny_splits):
+        serial, pooled = (
+            grid_search(tiny_splits[0], TINY, lrs=(0.005, 0.0025), workers=w) for w in (1, 2)
+        )
+        assert pooled.best_lr == serial.best_lr
+        assert pooled.entries == serial.entries
+        assert pooled.result.report.checksum == serial.result.report.checksum
+        serial, pooled = (
+            ablation_f1s(*tiny_splits, TINY, workers=w, threshold_mode="best_f1")
+            for w in (1, 2)
+        )
+        assert pooled == serial
+        serial, pooled = (
+            sweep_f1s(*tiny_splits, TINY, "neighbors", (1, 2), workers=w,
+                      threshold_mode="best_f1")
+            for w in (1, 2)
+        )
+        assert pooled == serial

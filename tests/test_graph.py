@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from pgad.graph import (
-    NodeEmbeddings,
-    assign_slot,
-    build_slot_graphs,
-    cosine_similarity,
-    init_embeddings,
-    topk_adjacency,
-)
+from pgad.graph import cosine_similarity, topk_adjacency
+from pgad.model import Model
+from pgad.training import build_adjacencies, slot_ids_for_windows
+
+from helpers import tiny_model_config
 
 
 class TestCosineSimilarity:
@@ -94,46 +91,38 @@ class TestSlotGraphs:
     def test_identical_embeddings_identical_graphs(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(6, 4))
-        emb = NodeEmbeddings([m.copy(), m.copy()])
-        graphs = build_slot_graphs(emb, 2)
+        graphs = build_adjacencies({"emb_0": m.copy(), "emb_1": m.copy()}, 2, 2)
         np.testing.assert_array_equal(graphs[0], graphs[1])
 
     def test_counts_per_slot(self):
-        rng = np.random.default_rng(4)
-        emb = init_embeddings(10, 4, 3, rng)
-        graphs = build_slot_graphs(emb, 3)
+        config = tiny_model_config(n_sensors=10, embed_dim=4, slots=3)
+        params = Model(config).init_params(np.random.default_rng(4))
+        graphs = build_adjacencies(params, 3, 3)
         assert len(graphs) == 3
         for g in graphs:
             np.testing.assert_array_equal(g.sum(axis=0), np.full(10, 3.0))
 
     def test_init_has_no_zero_rows_and_respects_bound(self):
-        rng = np.random.default_rng(5)
-        emb = init_embeddings(7, 9, 2, rng)
-        assert emb.n_slots == 2 and emb.n_sensors == 7 and emb.dim == 9
-        for m in emb.slots:
+        config = tiny_model_config(n_sensors=7, embed_dim=9, slots=2)
+        params = Model(config).init_params(np.random.default_rng(5))
+        embeddings = [params[name] for name in params if name.startswith("emb_")]
+        assert len(embeddings) == 2
+        for m in embeddings:
+            assert m.shape == (7, 9)
             assert np.linalg.norm(m, axis=1).min() > 0.0
             assert np.abs(m).max() <= 1.0 / 3.0
-
-    def test_empty_slot_list_rejected(self):
-        with pytest.raises(ValueError):
-            NodeEmbeddings([])
-
-    def test_mismatched_slot_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            NodeEmbeddings([np.zeros((3, 2)), np.zeros((4, 2))])
 
 
 class TestAssignSlot:
     @pytest.mark.parametrize("start,expected", [(0, 0), (6, 1), (23, 3)])
     def test_phase_bin_fixture(self, start, expected):
-        assert assign_slot(start, 24, 64, 4) == expected
+        assert slot_ids_for_windows(np.array([start]), 24, 4)[0] == expected
 
     def test_single_slot_always_zero(self):
-        for start in range(50):
-            assert assign_slot(start, 24, 64, 1) == 0
+        np.testing.assert_array_equal(slot_ids_for_windows(np.arange(50), 24, 1), 0)
 
     def test_wraps_at_period(self):
-        assert assign_slot(24, 24, 64, 4) == 0
+        assert slot_ids_for_windows(np.array([24]), 24, 4)[0] == 0
 
     def test_periodicity_property(self):
         rng = np.random.default_rng(6)
@@ -141,12 +130,12 @@ class TestAssignSlot:
             p = int(rng.integers(1, 100))
             g = int(rng.integers(1, 12))
             t = int(rng.integers(0, 10_000))
-            s = assign_slot(t, p, 64, g)
+            s, later = slot_ids_for_windows(np.array([t, t + p]), p, g)
             assert 0 <= s < g
-            assert s == assign_slot(t + p, p, 64, g)
+            assert s == later
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            assign_slot(0, 0, 64, 4)
+            slot_ids_for_windows(np.array([0]), 0, 4)
         with pytest.raises(ValueError):
-            assign_slot(0, 24, 64, 0)
+            slot_ids_for_windows(np.array([0]), 24, 0)

@@ -9,14 +9,13 @@ from pgad.model import (
     Model,
     ModelConfig,
     attention_coefficients,
-    dilated_conv,
+    conv_stack,
     fuse_and_predict,
-    graph_attention_forward,
     project_input,
-    temporal_module_forward,
+    spatial_aggregate,
 )
 
-from helpers import random_instance, tiny_model_config
+from helpers import dilated_conv, random_instance, tiny_model_config
 
 
 def leaky(x, slope=0.2):
@@ -57,20 +56,20 @@ class TestAttention:
         emb = rng.normal(size=(1, 3))
         alpha = attention_coefficients(
             emb, np.zeros((1, 1)), rng.normal(size=(2, 3)), rng.normal(size=4)
-        )
+        )["alpha"]
         assert alpha[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_logits_split_evenly(self):
         emb = np.tile([1.0, 2.0], (2, 1))
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        alpha = attention_coefficients(emb, adj, np.eye(2), np.ones(4))
+        alpha = attention_coefficients(emb, adj, np.eye(2), np.ones(4))["alpha"]
         np.testing.assert_allclose(alpha, 0.5, atol=1e-12)
 
     def test_three_node_chain_hand_softmax(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         adj = np.zeros((3, 3))
         adj[1, 0] = adj[0, 1] = adj[2, 1] = adj[1, 2] = 1.0
-        alpha = attention_coefficients(emb, adj, np.eye(2), np.ones(4))
+        alpha = attention_coefficients(emb, adj, np.eye(2), np.ones(4))["alpha"]
         s = [1.0, 1.0, 2.0]  # row sums of emb = attention source/dest scores
 
         def softmax_row(i, members):
@@ -87,7 +86,7 @@ class TestAttention:
     def test_negative_logits_use_leaky_slope(self):
         emb = np.array([[-1.0, 0.0], [0.0, -1.0]])
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        alpha = attention_coefficients(emb, adj, np.eye(2), np.ones(4))
+        alpha = attention_coefficients(emb, adj, np.eye(2), np.ones(4))["alpha"]
         # all pair sums are -2, LeakyReLU gives -0.4 everywhere: still even
         np.testing.assert_allclose(alpha, 0.5, atol=1e-12)
 
@@ -101,7 +100,7 @@ class TestAttention:
             np.fill_diagonal(adj, 0.0)
             alpha = attention_coefficients(
                 emb, adj, rng.normal(size=(d, d)), rng.normal(size=2 * d)
-            )
+            )["alpha"]
             np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
             outside = ~((adj.T > 0) | np.eye(n, dtype=bool))
             np.testing.assert_array_equal(alpha[outside], 0.0)
@@ -114,7 +113,7 @@ class TestGraphAttentionForward:
         w = rng.normal(size=(2, 3))
         alpha = np.array([[1.0]])
         np.testing.assert_allclose(
-            graph_attention_forward(x, alpha, w),
+            spatial_aggregate(x, alpha, w)["h_s"],
             np.maximum(x @ w.T, 0.0),
             atol=1e-12,
         )
@@ -124,13 +123,13 @@ class TestGraphAttentionForward:
         x = np.tile(rng.normal(size=3), (4, 1))
         w = rng.normal(size=(3, 3))
         alpha = np.full((4, 4), 0.25)
-        out = graph_attention_forward(x, alpha, w)
+        out = spatial_aggregate(x, alpha, w)["h_s"]
         np.testing.assert_allclose(out, np.tile(out[0], (4, 1)), atol=1e-12)
 
     def test_two_node_hand_mix(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         alpha = np.array([[0.25, 0.75], [0.5, 0.5]])
-        out = graph_attention_forward(x, alpha, np.eye(2))
+        out = spatial_aggregate(x, alpha, np.eye(2))["h_s"]
         np.testing.assert_allclose(out[0], [0.25, 0.75], atol=1e-12)
 
     def test_output_nonnegative(self):
@@ -138,7 +137,7 @@ class TestGraphAttentionForward:
         x = rng.normal(size=(5, 4))
         w = rng.normal(size=(3, 4))
         alpha = np.full((5, 5), 0.2)
-        assert graph_attention_forward(x, alpha, w).min() >= 0.0
+        assert spatial_aggregate(x, alpha, w)["h_s"].min() >= 0.0
 
 
 class TestDilatedConv:
@@ -181,19 +180,19 @@ class TestTemporalModule:
     def test_flat_dim_matches_shape_rule(self):
         rng = np.random.default_rng(8)
         filters = {c: rng.normal(size=(8, 1, c)) for c in (2, 3, 5)}
-        out = temporal_module_forward(rng.normal(size=(2, 64)), [filters], 1)
+        out = conv_stack(rng.normal(size=(2, 64)), [filters], 1)["t_flat"]
         assert out.shape == (2, 24 * 60)
 
     def test_zero_window_gives_zero_features(self):
         rng = np.random.default_rng(9)
         filters = {c: rng.normal(size=(3, 1, c)) for c in (2, 3, 5)}
-        out = temporal_module_forward(np.zeros((4, 16)), [filters], 1)
+        out = conv_stack(np.zeros((4, 16)), [filters], 1)["t_flat"]
         np.testing.assert_array_equal(out, 0.0)
 
     def test_averaging_kernels_match_conv_oracle(self):
         rng = np.random.default_rng(10)
         x = np.abs(rng.normal(size=16)) + 1.0  # positive, so ReLU is identity
-        out = temporal_module_forward(x[None, :], [averaging_filters()], 1)
+        out = conv_stack(x[None, :], [averaging_filters()], 1)["t_flat"]
         out = out.reshape(3, 12)  # three kernels, L_out = 16 - 4
         for row, c in zip(out, (2, 3, 5)):
             oracle = dilated_conv(x, np.full(c, 1.0 / c), 1)
@@ -203,11 +202,11 @@ class TestTemporalModule:
         rng = np.random.default_rng(11)
         filters = {c: rng.normal(size=(2, 1, c)) for c in (2, 3, 5)}
         x = rng.normal(size=(1, 20))
-        base = temporal_module_forward(x, [filters], 1).reshape(6, 16)
+        base = conv_stack(x, [filters], 1)["t_flat"].reshape(6, 16)
         for u in (6, 11, 19):
             bumped = x.copy()
             bumped[0, u] += 5.0
-            out = temporal_module_forward(bumped, [filters], 1).reshape(6, 16)
+            out = conv_stack(bumped, [filters], 1)["t_flat"].reshape(6, 16)
             # output position o reads input time o + 4; earlier times unaffected
             first_hit = max(u - 4, 0)
             np.testing.assert_array_equal(out[:, :first_hit], base[:, :first_hit])
@@ -217,7 +216,7 @@ class TestTemporalModule:
         rng = np.random.default_rng(12)
         layer1 = {c: rng.normal(size=(2, 1, c)) for c in (2, 3, 5)}
         layer2 = {c: rng.normal(size=(2, 6, c)) for c in (2, 3, 5)}
-        out = temporal_module_forward(rng.normal(size=(3, 20)), [layer1, layer2], 1)
+        out = conv_stack(rng.normal(size=(3, 20)), [layer1, layer2], 1)["t_flat"]
         # 20 - 4 = 16 after layer one, minus 2*4 at dilation 2 leaves 8
         assert out.shape == (3, 6 * 8)
 
@@ -239,7 +238,8 @@ class TestFuseAndPredict:
         params["mlp_w1"] = np.zeros_like(params["mlp_w1"])
         params["mlp_b1"] = np.zeros_like(params["mlp_b1"])
         params["mlp_w2"] = np.zeros_like(params["mlp_w2"])
-        pred = fuse_and_predict(rng.normal(size=(5, 4)), rng.normal(size=(5, 2)), params)
+        h_s, h_t = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+        pred = fuse_and_predict(h_s, h_t, params)["pred"]
         np.testing.assert_array_equal(pred, 0.0)
 
     def test_constant_feature_leaves_only_bias_path(self):
@@ -247,7 +247,7 @@ class TestFuseAndPredict:
         params = self.base_params(rng, 6)
         h_s = np.full((2, 6), 3.7)
         expected = np.maximum(params["mlp_b1"], 0.0) @ params["mlp_w2"]
-        pred = fuse_and_predict(h_s, None, params)
+        pred = fuse_and_predict(h_s, None, params)["pred"]
         np.testing.assert_allclose(pred, expected, atol=1e-9)
 
     def test_matches_dense_oracle(self):
@@ -264,7 +264,7 @@ class TestFuseAndPredict:
         z1 = np.maximum(y @ params["mlp_w1"].T + params["mlp_b1"], 0.0)
         expected = z1 @ params["mlp_w2"] + params["mlp_b2"]
         np.testing.assert_allclose(
-            fuse_and_predict(h_s, h_t, params), expected, atol=1e-9
+            fuse_and_predict(h_s, h_t, params)["pred"], expected, atol=1e-9
         )
 
 

@@ -21,7 +21,7 @@ from pgad.training import (
     train,
 )
 
-from helpers import analytic_gradients, random_instance, tiny_model_config
+from helpers import analytic_gradients, assign_slot, random_instance, tiny_model_config
 
 SMALL_CONFIG = TrainConfig(
     window=24, neighbors=3, slots=2, epochs=6, patience=6, batch_size=32,
@@ -144,11 +144,9 @@ class TestSgdSmoothness:
 
 class TestSlotRouting:
     def test_matches_scalar_assignment(self):
-        from pgad.graph import assign_slot
-
         starts = np.arange(0, 200, 7)
         ids = slot_ids_for_windows(starts, 24, 4)
-        expected = [assign_slot(int(t), 24, 64, 4) for t in starts]
+        expected = [assign_slot(int(t), 24, 4) for t in starts]
         np.testing.assert_array_equal(ids, expected)
 
     def test_per_window_period_reestimation(self):
