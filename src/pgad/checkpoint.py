@@ -1,10 +1,10 @@
 """Model checkpoints: one .npz holding parameters plus a JSON meta record.
 
 The archive layout is flat: `meta` (a JSON string) describes the model
-configuration, normalization, period/slot bookkeeping, and a sha256 of
-the configuration; `param__<name>` entries hold the weights;
-`val_errors` holds the per-window absolute validation errors that later
-calibrate anomaly scores.
+configuration, normalization, period/slot bookkeeping, and sha256 digests
+of the configuration and of `val_errors`; `param__<name>` entries hold the
+weights; `val_errors` holds the per-window absolute validation errors that
+later calibrate anomaly scores.
 """
 
 from __future__ import annotations
@@ -35,12 +35,23 @@ def param_checksum(params: dict[str, np.ndarray], order: list[str]) -> str:
     return digest.hexdigest()
 
 
+def _val_errors_checksum(val_errors: np.ndarray) -> str:
+    values = np.ascontiguousarray(val_errors, dtype=np.float64)
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
 def _check_meta_int(path, meta: dict, key: str, lo: int, hi: float = float("inf")) -> None:
     value = meta.get(key)
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
         raise DataError(
             f"checkpoint {path} meta {key}={value!r} is not an integer in [{lo}, {hi}]"
         )
+
+
+def _check_meta_length(path, value, key: str, n: int) -> None:
+    if not isinstance(value, list) or len(value) != n:
+        found = len(value) if isinstance(value, list) else repr(value)
+        raise DataError(f"checkpoint {path} meta {key} has {found} entries, expected {n}")
 
 
 @dataclass
@@ -91,6 +102,7 @@ def make_checkpoint(
         "neighbors": int(neighbors),
         "train_length": int(train_length),
         "sensor_names": list(sensor_names),
+        "val_errors_sha256": _val_errors_checksum(val_errors),
     }
     if extra:
         meta.update(extra)
@@ -189,6 +201,11 @@ def load_checkpoint(path) -> Checkpoint:
     _check_meta_int(path, meta, "period", 1)
     _check_meta_int(path, meta, "neighbors", 1, config.n_sensors - 1)
     _check_meta_int(path, meta, "train_length", 0)
+    norm = meta.get("normalization")
+    norm = norm if isinstance(norm, dict) else {}
+    _check_meta_length(path, meta.get("sensor_names"), "sensor_names", config.n_sensors)
+    for key in ("shift", "scale"):
+        _check_meta_length(path, norm.get(key), f"normalization.{key}", config.n_sensors)
     if "val_errors" not in arrays:
         raise DataError(f"checkpoint {path} missing validation errors")
     val_errors = arrays["val_errors"].astype(np.float64)
@@ -197,4 +214,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint {path} validation errors shaped {val_errors.shape}, "
             f"expected (n, {config.n_sensors})"
         )
+    expected_digest = meta.get("val_errors_sha256")
+    if expected_digest is not None and expected_digest != _val_errors_checksum(val_errors):
+        raise DataError(f"checkpoint {path} validation errors do not match their checksum")
     return Checkpoint(config=config, params=params, val_errors=val_errors, meta=meta)

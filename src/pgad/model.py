@@ -10,8 +10,9 @@ two-layer MLP to one next-step prediction per sensor.
 
 Adjacency patterns are treated as constants: gradients flow into the
 embeddings only through the attention logits. Node-axis reductions sum
-their terms in value-sorted order, which makes predictions bit-identical
-under any simultaneous permutation of the sensors.
+their terms in value-sorted order and row-wise products run as one BLAS
+matmul over all rows, which makes predictions bit-identical under any
+simultaneous permutation of the sensors.
 """
 
 from __future__ import annotations
@@ -91,10 +92,32 @@ def _sorted_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _ordered_mix(alpha: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """out[..., i, f] = sum_j alpha[i, j] * features[..., j, f]."""
+    """out[..., i, f] = sum_j alpha[i, j] * features[..., j, f].
+
+    Each output sums the value-sorted terms of row i's live (non-zero)
+    weights only, padded to the longest row's count m with zero-weight
+    copies of the node's own term. Every output's term multiset and m are
+    invariant under a sensor permutation, so the result is too. When every
+    row is full, the dense path skips the gather.
+    """
+    n = alpha.shape[-1]
+    live = alpha != 0
+    counts = live.sum(axis=-1)
+    m = int(counts.max())
     feat_t = np.swapaxes(features, -1, -2)
-    terms = alpha[:, None, :] * feat_t[..., None, :, :]
-    return _sorted_sum(terms, axis=-1)
+    if m == n:
+        terms = alpha[:, None, :] * feat_t[..., None, :, :]  # (..., N, F, N)
+    else:
+        # live columns first, in index order; pads point back at the node itself
+        cols = np.argsort(~live, axis=-1, kind="stable")[:, :m]
+        pad = np.arange(m) >= counts[:, None]
+        cols[pad] = np.nonzero(pad)[0]
+        weights = np.where(pad, 0.0, np.take_along_axis(alpha, cols, axis=-1))
+        terms = feat_t[..., cols]  # (..., F, N, m)
+        terms *= weights
+        terms = np.swapaxes(terms, -2, -3)
+    terms.sort(axis=-1)
+    return terms.sum(axis=-1)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -113,13 +136,20 @@ def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward building blocks
 
-def _rowwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """x @ weight.T computed per element in a fixed reduction order.
+def _flat(x: np.ndarray) -> np.ndarray:
+    """Merge every axis but the last: (..., F) -> (rows, F)."""
+    return x.reshape(-1, x.shape[-1])
 
-    BLAS matmul rounds differently depending on a row's position in the
-    batch; einsum does not, which keeps node-permuted inputs bit-exact.
+
+def _rowwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """x @ weight.T over the last axis, as one flattened BLAS matmul.
+
+    All rows go through a single GEMM, and with OpenBLAS permuting the rows
+    permutes the output rows bit for bit (the permutation tests check this).
+    Rounding may depend on the total row count.
     """
-    return np.einsum("...i,oi->...o", x, weight)
+    out = _flat(x) @ weight.T
+    return out.reshape(x.shape[:-1] + (weight.shape[0],))
 
 
 def project_input(window: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -385,7 +415,7 @@ class Model:
         grads["mlp_w2"] += np.einsum("bn,bnh->h", dpred, g["r1"])
         grads["mlp_b2"] += dpred.sum()
         dz1 = (dpred[..., None] * params["mlp_w2"]) * g["z1_mask"]
-        grads["mlp_w1"] += np.einsum("bnh,bnf->hf", dz1, g["y_ln"])
+        grads["mlp_w1"] += _flat(dz1).T @ _flat(g["y_ln"])
         grads["mlp_b1"] += dz1.sum((0, 1))
         dy = dz1 @ params["mlp_w1"]
 
@@ -405,7 +435,7 @@ class Model:
             td = cfg.temporal_dim
             dt_red = dfused[..., :td]
             dh_s = dfused[..., td:]
-            grads["tred_w"] += np.einsum("bnt,bnf->tf", dt_red, g["t_flat"])
+            grads["tred_w"] += _flat(dt_red).T @ _flat(g["t_flat"])
             grads["tred_b"] += dt_red.sum((0, 1))
             d_act = (dt_red @ params["tred_w"]).reshape(
                 b, n, cfg.conv_channels_total(), cfg.conv_out_len()
@@ -421,7 +451,9 @@ class Model:
                     dpre_c = dpre[..., off : off + cfg.channels, :]
                     off += cfg.channels
                     taps = _conv_taps(x_in, c, q, base, out_len)
-                    grads[f"conv{l}_k{c}"] += np.einsum("bnol,bnicl->oic", dpre_c, taps)
+                    grads[f"conv{l}_k{c}"] += np.tensordot(
+                        dpre_c, taps, axes=([0, 1, 3], [0, 1, 4])
+                    )
                     if dx is not None:
                         filt = params[f"conv{l}_k{c}"]
                         for s in range(c):
@@ -437,9 +469,9 @@ class Model:
         # spatial branch: aggregation, then attention back to embeddings
         dpre_s = dh_s * g["s_mask"]
         alpha = g["att"]["alpha"]
-        dalpha = np.einsum("bif,bjf->ij", dpre_s, g["wx"])
-        dwx = np.einsum("ij,bif->bjf", alpha, dpre_s)
-        grads["att_w"] += np.einsum("bnf,bnd->fd", dwx, g["x_proj"])
+        dalpha = np.tensordot(dpre_s, g["wx"], axes=([0, 2], [0, 2]))
+        dwx = alpha.T @ dpre_s
+        grads["att_w"] += _flat(dwx).T @ _flat(g["x_proj"])
         dxp = dwx @ params["att_w"]
 
         dlogit = alpha * (dalpha - (alpha * dalpha).sum(-1, keepdims=True))
@@ -457,5 +489,5 @@ class Model:
         grads[f"emb_{g['slot']}"] += dv @ params["att_w"]
 
         # input projection
-        grads["proj_w"] += np.einsum("bnd,bnw->dw", dxp, g["window"])
+        grads["proj_w"] += _flat(dxp).T @ _flat(g["window"])
         grads["proj_b"] += dxp.sum((0, 1))

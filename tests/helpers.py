@@ -51,6 +51,14 @@ def dilated_conv(x, filt, dilation: int = 1) -> np.ndarray:
     return out
 
 
+def dense_ordered_mix(alpha, features) -> np.ndarray:
+    """Neighbour mix over all N columns: out[..., i, f] is the value-sorted
+    sum over j of alpha[i, j] * features[..., j, f], zero weights included."""
+    feat_t = np.swapaxes(features, -1, -2)
+    terms = alpha[:, None, :] * feat_t[..., None, :, :]
+    return np.sort(terms, axis=-1).sum(axis=-1)
+
+
 def assign_slot(window_start: int, period: int, n_slots: int) -> int:
     """Phase bin of one window from its start index alone."""
     return ((window_start % period) * n_slots) // period
@@ -92,6 +100,36 @@ def random_instance(seed: int, config: ModelConfig, batch: int = 3, k: int = 2):
     slot_ids = rng.integers(0, config.slots, batch)
     adjacencies = build_adjacencies(params, config.slots, min(k, config.n_sensors - 1))
     return model, params, windows, slot_ids, adjacencies, targets
+
+
+def permutation_mismatches(seed: int) -> list[tuple]:
+    """Cases where `Model.forward` is not bit-equivariant under a sensor
+    permutation, over N in {2, 6, 51}, k in {1, N // 3, N - 1}, batches of
+    1 and 33 windows and 1-4 slots. k < N - 1 leaves rows of the neighbour
+    mix partly empty; k = N - 1 fills them."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    cases = [(n, k, batch) for n in (2, 6, 51)
+             for k in sorted({1, max(1, n // 3), n - 1}) for batch in (1, 33)]
+    for case, (n, k, batch) in enumerate(cases):
+        slots = 1 + case % 4
+        config = tiny_model_config(
+            n_sensors=n, window=32, embed_dim=16, spatial_dim=16,
+            temporal_dim=8, hidden_dim=32, slots=slots,
+        )
+        model, params, windows, slot_ids, adjacencies, _ = random_instance(
+            int(rng.integers(1 << 31)), config, batch=batch, k=k
+        )
+        base, _ = model.forward(windows, slot_ids, adjacencies, params)
+        perm = rng.permutation(n)
+        p_params = dict(params)
+        for s in range(slots):
+            p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
+        p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
+        p_out, _ = model.forward(windows[:, perm, :], slot_ids, p_adj, p_params)
+        if not np.array_equal(p_out, base[:, perm]):
+            failures.append((n, k, batch, slots))
+    return failures
 
 
 def batch_loss(model, params, windows, slot_ids, adjacencies, targets) -> float:

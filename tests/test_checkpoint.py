@@ -150,3 +150,28 @@ class TestRejection:
         self.rewrite_meta(path, mutate)
         with pytest.raises(DataError, match=key):
             load_checkpoint(path)
+
+    def test_tampered_val_errors(self, trained, tmp_path):
+        path = self.save(trained, tmp_path)
+        data = dict(np.load(path, allow_pickle=False))
+        data["val_errors"] = 2.0 * data["val_errors"]
+        np.savez_compressed(path, **data)
+        with pytest.raises(DataError, match="validation errors"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key", ["sensor_names", "normalization.shift", "normalization.scale"]
+    )
+    def test_sensor_list_length_rejected(self, trained, tmp_path, key):
+        path = self.save(trained, tmp_path)
+
+        def mutate(meta, data):
+            holder = meta
+            *parents, leaf = key.split(".")
+            for part in parents:
+                holder = holder[part]
+            holder[leaf] = holder[leaf][:2]
+
+        self.rewrite_meta(path, mutate)
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path)

@@ -320,6 +320,22 @@ class TestCorruptCheckpoint:
         )
         assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
 
+    def test_doubled_val_errors_exit_two(self, cli_workspace, tmp_path):
+        def double(meta, data):
+            data["val_errors"] = 2.0 * data["val_errors"]
+
+        path = tampered_checkpoint(cli_workspace / "checkpoint.npz", tmp_path, double)
+        assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
+
+    @pytest.mark.parametrize("key", ["sensor_names", "shift", "scale"])
+    def test_truncated_sensor_lists_exit_two(self, cli_workspace, tmp_path, key):
+        def truncate(meta, data):
+            holder = meta if key == "sensor_names" else meta["normalization"]
+            holder[key] = holder[key][:2]
+
+        path = tampered_checkpoint(cli_workspace / "checkpoint.npz", tmp_path, truncate)
+        assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
+
 
 class TestAblateCommand:
     def test_table_and_json(self, cli_workspace, tmp_path, capsys):

@@ -1,13 +1,19 @@
 """Forward-pass building blocks against hand-computed fixtures and oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pgad.graph import cosine_similarity, topk_adjacency
 from pgad.model import (
     Model,
     ModelConfig,
+    _ordered_mix,
     attention_coefficients,
     conv_stack,
     fuse_and_predict,
@@ -15,7 +21,13 @@ from pgad.model import (
     spatial_aggregate,
 )
 
-from helpers import dilated_conv, random_instance, tiny_model_config
+from helpers import (
+    dense_ordered_mix,
+    dilated_conv,
+    permutation_mismatches,
+    random_instance,
+    tiny_model_config,
+)
 
 
 def leaky(x, slope=0.2):
@@ -327,6 +339,63 @@ class TestModelForward:
         assert set(params) == set(shapes)
         for name, shape in shapes.items():
             assert params[name].shape == tuple(shape)
+
+
+class TestNeighbourMix:
+    """The gathered mix against the dense all-columns oracle."""
+
+    def mix_instance(self, seed, n, k, batch=5, width=7):
+        rng = np.random.default_rng(seed)
+        emb = rng.normal(size=(n, 6))
+        adjacency = topk_adjacency(cosine_similarity(emb), k)
+        att = attention_coefficients(emb, adjacency, rng.normal(size=(4, 6)), rng.normal(size=8))
+        return att["alpha"], rng.normal(size=(batch, n, width))
+
+    def test_full_rows_equal_oracle(self):
+        for seed, n in enumerate((2, 8, 13)):
+            alpha, features = self.mix_instance(seed, n, n - 1)
+            np.testing.assert_array_equal(
+                _ordered_mix(alpha, features), dense_ordered_mix(alpha, features)
+            )
+
+    def test_partial_rows_match_oracle(self):
+        for seed, (n, k) in enumerate([(3, 1), (8, 2), (20, 6), (51, 17), (51, 1)]):
+            alpha, features = self.mix_instance(100 + seed, n, k)
+            assert (alpha == 0).any()
+            out = _ordered_mix(alpha, features)
+            scale = np.einsum("ij,bjf->bif", np.abs(alpha), np.abs(features))
+            assert (np.abs(out - dense_ordered_mix(alpha, features)) <= 1e-12 * scale).all()
+
+    def test_isolated_node_keeps_its_own_term(self):
+        rng = np.random.default_rng(7)
+        alpha = np.zeros((4, 4))
+        alpha[0, 0] = 0.7
+        alpha[1:, 1:] = rng.dirichlet(np.ones(3), size=3)
+        features = rng.normal(size=(3, 4, 5))
+        out = _ordered_mix(alpha, features)
+        np.testing.assert_array_equal(out[:, 0], 0.7 * features[:, 0])
+
+
+class TestPermutationExactness:
+    """Model.forward under sensor permutation, dense and gathered mix paths."""
+
+    def test_forward_equivariant_over_shapes(self):
+        assert permutation_mismatches(31) == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_forward_equivariant_with_pinned_blas_threads(self, threads):
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = tests_dir.parent / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from helpers import permutation_mismatches; "
+             "print(permutation_mismatches(32))"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestModelConfigValidation:
