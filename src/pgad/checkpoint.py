@@ -2,9 +2,10 @@
 
 The archive layout is flat: `meta` (a JSON string) describes the model
 configuration, normalization, period/slot bookkeeping, and sha256 digests
-of the configuration and of `val_errors`; `param__<name>` entries hold the
-weights; `val_errors` holds the per-window absolute validation errors that
-later calibrate anomaly scores.
+of the configuration, of the parameters and of `val_errors`; `param__<name>`
+entries hold the weights; `val_errors` holds the per-window absolute
+validation errors that later calibrate anomaly scores. Both data digests
+are mandatory: a file without them does not load.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .data import NormalizationStats
 from .errors import DataError
 from .model import Model, ModelConfig
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def config_digest(config: ModelConfig) -> str:
@@ -46,6 +47,13 @@ def _check_meta_int(path, meta: dict, key: str, lo: int, hi: float = float("inf"
         raise DataError(
             f"checkpoint {path} meta {key}={value!r} is not an integer in [{lo}, {hi}]"
         )
+
+
+def _check_digest(path, meta: dict, key: str, actual: str, what: str) -> None:
+    if key not in meta:
+        raise DataError(f"checkpoint {path} {what} have no checksum ({key} missing)")
+    if meta[key] != actual:
+        raise DataError(f"checkpoint {path} {what} do not match their checksum")
 
 
 def _check_meta_length(path, value, key: str, n: int) -> None:
@@ -102,6 +110,7 @@ def make_checkpoint(
         "neighbors": int(neighbors),
         "train_length": int(train_length),
         "sensor_names": list(sensor_names),
+        "params_sha256": param_checksum(params, list(Model(config).param_shapes())),
         "val_errors_sha256": _val_errors_checksum(val_errors),
     }
     if extra:
@@ -194,10 +203,8 @@ def load_checkpoint(path) -> Checkpoint:
     stray = [k for k in arrays if k.startswith("param__") and k[len("param__"):] not in expected]
     if stray:
         raise DataError(f"checkpoint {path} has unknown parameters: {sorted(stray)}")
-    train_meta = meta.get("train")
-    if isinstance(train_meta, dict) and "checksum" in train_meta:
-        if param_checksum(params, list(expected)) != train_meta["checksum"]:
-            raise DataError(f"checkpoint {path} parameters do not match their checksum")
+    _check_digest(path, meta, "params_sha256", param_checksum(params, list(expected)),
+                  "parameters")
     _check_meta_int(path, meta, "period", 1)
     _check_meta_int(path, meta, "neighbors", 1, config.n_sensors - 1)
     _check_meta_int(path, meta, "train_length", 0)
@@ -214,7 +221,6 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint {path} validation errors shaped {val_errors.shape}, "
             f"expected (n, {config.n_sensors})"
         )
-    expected_digest = meta.get("val_errors_sha256")
-    if expected_digest is not None and expected_digest != _val_errors_checksum(val_errors):
-        raise DataError(f"checkpoint {path} validation errors do not match their checksum")
+    _check_digest(path, meta, "val_errors_sha256", _val_errors_checksum(val_errors),
+                  "validation errors")
     return Checkpoint(config=config, params=params, val_errors=val_errors, meta=meta)

@@ -90,21 +90,22 @@ class MetricsReport:
         return dataclasses.asdict(self)
 
 
-def _anomaly_segments(labels: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open [start, stop) runs of 1s."""
-    labels = np.asarray(labels).astype(bool)
-    padded = np.concatenate([[False], labels, [False]])
+def _anomaly_segments(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and stops of the half-open [start, stop) runs of 1s."""
+    padded = np.concatenate([[False], np.asarray(labels).astype(bool), [False]])
     edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2)]
+    return edges[0::2], edges[1::2]
 
 
 def point_adjust_predictions(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Credit a whole true segment when any point inside it is flagged."""
     adjusted = np.asarray(predicted).astype(bool).copy()
     truth = np.asarray(truth).astype(bool)
-    for start, stop in _anomaly_segments(truth):
-        if adjusted[start:stop].any():
-            adjusted[start:stop] = True
+    starts, stops = _anomaly_segments(truth)
+    hits = np.concatenate([[0], np.cumsum(adjusted & truth)])
+    credited = hits[stops] > hits[starts]
+    # the truth positions, in order, are the segments laid end to end
+    adjusted[truth] |= np.repeat(credited, stops - starts)
     return adjusted
 
 
@@ -137,26 +138,58 @@ def evaluate(
     )
 
 
+def _count_above(sorted_values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of `sorted_values` lie strictly above each threshold."""
+    return sorted_values.size - np.searchsorted(sorted_values, thresholds, "right")
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den != 0, else 0.0, as `evaluate` divides."""
+    out = np.zeros(num.shape)
+    np.divide(num, den, out=out, where=den != 0)
+    return out
+
+
 def best_f1_threshold(
     scores: np.ndarray,
     truth: np.ndarray,
     *,
     point_adjust: bool = False,
 ) -> tuple[float, MetricsReport]:
-    """Scan every distinct score as a candidate threshold (labels: score > t).
+    """Score every distinct score as a candidate threshold (labels: score > t).
 
-    Returns the lowest threshold attaining the best F1.
+    One sorted pass counts the flags of every candidate at once, in
+    O(n log n). Returns the lowest threshold attaining the best F1 and the
+    `evaluate` report at that threshold.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    best_thr = float(scores.max())
-    best: MetricsReport | None = None
-    for thr in np.unique(scores):
-        report = evaluate(scores > thr, truth, point_adjust=point_adjust, threshold=thr)
-        if best is None or report.f1 > best.f1:
-            best = report
-            best_thr = float(thr)
-    assert best is not None
-    return best_thr, best
+    truth = np.asarray(truth).astype(bool)
+    if scores.shape != truth.shape:
+        raise DataError(f"score/label length mismatch: {scores.shape} vs {truth.shape}")
+    if scores.size == 0:
+        raise DataError("no scores to choose a threshold from")
+    if not np.isfinite(scores).all():
+        raise DataError(f"{int(np.sum(~np.isfinite(scores)))} scores are not finite")
+    thresholds = np.unique(scores)
+
+    fp = _count_above(np.sort(scores[~truth]), thresholds)
+    if point_adjust:
+        # a segment is credited iff its maximum score is above t
+        starts, stops = _anomaly_segments(truth)
+        maxima = np.maximum.reduceat(np.where(truth, scores, -np.inf), starts)
+        order = np.argsort(maxima)
+        covered = np.concatenate([[0], np.cumsum((stops - starts)[order])])
+        tp = covered[-1] - covered[np.searchsorted(maxima[order], thresholds, "right")]
+    else:
+        tp = _count_above(np.sort(scores[truth]), thresholds)
+    fn = int(truth.sum()) - tp
+
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    f1 = _ratio(2 * precision * recall, precision + recall)
+    thr = thresholds[int(np.argmax(f1))]
+    return float(thr), evaluate(scores > thr, truth, point_adjust=point_adjust,
+                                threshold=thr)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 from pgad.data import SeriesMatrix
 from pgad.model import Model, ModelConfig
+from pgad.scoring import evaluate
 from pgad.training import build_adjacencies, l2_loss
 
 
@@ -62,6 +63,41 @@ def dense_ordered_mix(alpha, features) -> np.ndarray:
 def assign_slot(window_start: int, period: int, n_slots: int) -> int:
     """Phase bin of one window from its start index alone."""
     return ((window_start % period) * n_slots) // period
+
+
+def point_adjust_loop(predicted, truth) -> np.ndarray:
+    """Point adjustment one true segment at a time."""
+    adjusted = np.asarray(predicted).astype(bool).copy()
+    truth = np.asarray(truth).astype(bool)
+    padded = np.concatenate([[False], truth, [False]])
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    for start, stop in zip(edges[0::2], edges[1::2]):
+        if adjusted[start:stop].any():
+            adjusted[start:stop] = True
+    return adjusted
+
+
+def best_f1_scan(scores, truth, *, point_adjust: bool = False):
+    """One `evaluate` call per distinct score; keeps the first (lowest)
+    threshold whose F1 beats every lower one."""
+    scores = np.asarray(scores, dtype=np.float64)
+    best_thr = float(scores.max())
+    best = None
+    for thr in np.unique(scores):
+        report = evaluate(scores > thr, truth, point_adjust=point_adjust, threshold=thr)
+        if best is None or report.f1 > best.f1:
+            best = report
+            best_thr = float(thr)
+    return best_thr, best
+
+
+def strip_digests(meta, data):
+    """Alter the weights and `val_errors`, then delete every digest of them."""
+    data["val_errors"] = 2.0 * data["val_errors"]
+    data["param__mlp_b2"] = data["param__mlp_b2"] + 1.0
+    for key in ("params_sha256", "val_errors_sha256"):
+        meta.pop(key, None)
+    meta["train"].pop("checksum")
 
 
 def series_of(values, names=None, labels=None) -> SeriesMatrix:

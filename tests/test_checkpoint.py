@@ -14,6 +14,8 @@ from pgad.data import generate_synthetic
 from pgad.errors import DataError
 from pgad.training import TrainConfig, train
 
+from helpers import strip_digests
+
 
 @pytest.fixture(scope="module")
 def trained():
@@ -53,6 +55,9 @@ class TestRoundTrip:
     def test_train_report_embedded(self, trained):
         assert "train" in trained.meta
         assert trained.meta["train"]["best_epoch"] >= 0
+
+    def test_params_digest_is_the_training_checksum(self, trained):
+        assert trained.meta["params_sha256"] == trained.meta["train"]["checksum"]
 
 
 class TestRejection:
@@ -157,6 +162,19 @@ class TestRejection:
         data["val_errors"] = 2.0 * data["val_errors"]
         np.savez_compressed(path, **data)
         with pytest.raises(DataError, match="validation errors"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["params_sha256", "val_errors_sha256"])
+    def test_missing_digest_rejected(self, trained, tmp_path, key):
+        path = self.save(trained, tmp_path)
+        self.rewrite_meta(path, lambda meta, data: meta.pop(key, None))
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path)
+
+    def test_stripped_digests_rejected(self, trained, tmp_path):
+        path = self.save(trained, tmp_path)
+        self.rewrite_meta(path, strip_digests)
+        with pytest.raises(DataError, match="checksum"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(

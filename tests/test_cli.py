@@ -11,7 +11,7 @@ from pgad.checkpoint import load_checkpoint
 from pgad.data import write_csv
 
 from conftest import TINY_SYNTH, TINY_TRAIN
-from helpers import series_of
+from helpers import series_of, strip_digests
 
 
 def read_csv_rows(path):
@@ -325,6 +325,11 @@ class TestCorruptCheckpoint:
             data["val_errors"] = 2.0 * data["val_errors"]
 
         path = tampered_checkpoint(cli_workspace / "checkpoint.npz", tmp_path, double)
+        assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
+
+    def test_stripped_digests_exit_two(self, cli_workspace, tmp_path):
+        path = tampered_checkpoint(cli_workspace / "checkpoint.npz", tmp_path,
+                                   strip_digests)
         assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
 
     @pytest.mark.parametrize("key", ["sensor_names", "shift", "scale"])

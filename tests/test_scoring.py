@@ -21,6 +21,8 @@ from pgad.scoring import (
 )
 from pgad.training import TrainConfig, train
 
+from helpers import best_f1_scan, point_adjust_loop
+
 
 class TestSensorErrors:
     def test_perfect_prediction(self):
@@ -169,6 +171,28 @@ class TestEvaluate:
             last_negatives = negatives
 
 
+def random_traces(seed: int, count: int):
+    """Seeded (scores, truth) pairs for exactness checks. Scores are rounded
+    to 0-2 decimals so thresholds tie; truth cycles through all-negative,
+    all-positive and random segments, some touching either end; n = 1 is
+    drawn too."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = 1 if case % 7 == 0 else int(rng.integers(2, 200))
+        scores = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+        if case % 5 == 0:
+            truth = np.zeros(n, dtype=int)
+        elif case % 5 == 1:
+            truth = np.ones(n, dtype=int)
+        else:
+            # runs: the label flips at each step with a per-case probability
+            flips = rng.random(n) < rng.uniform(0.05, 0.5)
+            truth = (np.cumsum(flips) + int(rng.integers(2))) % 2
+            if case % 5 == 3:
+                truth[0] = truth[-1] = 1
+        yield scores, truth
+
+
 class TestPointAdjust:
     def test_segment_credited_by_single_hit(self):
         truth = np.array([0, 1, 1, 1, 0])
@@ -199,6 +223,13 @@ class TestPointAdjust:
             adjusted = evaluate(pred, truth, point_adjust=True)
             assert adjusted.f1 >= plain.f1 - 1e-12
 
+    def test_matches_segment_loop(self):
+        for scores, truth in random_traces(6, 300):
+            pred = scores > np.median(scores)
+            np.testing.assert_array_equal(
+                point_adjust_predictions(pred, truth), point_adjust_loop(pred, truth)
+            )
+
 
 class TestBestF1Threshold:
     def test_toy_trace_hand_enumeration(self):
@@ -225,6 +256,24 @@ class TestBestF1Threshold:
         thr, report = best_f1_threshold(scores, truth)
         assert report.f1 == 1.0
         assert thr == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("point_adjust", [False, True])
+    def test_equals_the_evaluate_loop(self, point_adjust):
+        for scores, truth in random_traces(7 + point_adjust, 300):
+            expected = best_f1_scan(scores, truth, point_adjust=point_adjust)
+            assert best_f1_threshold(scores, truth, point_adjust=point_adjust) == expected
+
+    @pytest.mark.parametrize("point_adjust", [False, True])
+    def test_length_mismatch_rejected(self, point_adjust):
+        with pytest.raises(DataError, match="length"):
+            best_f1_threshold(np.arange(5.0), np.array([0, 1, 1]),
+                              point_adjust=point_adjust)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.array([0.1, 0.9, bad, 0.2])
+        with pytest.raises(DataError, match="finite"):
+            best_f1_threshold(scores, np.array([0, 1, 1, 0]))
 
 
 @pytest.fixture(scope="module")
