@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import NormalizationStats
+from .data import NORMALIZATION_MODES, NormalizationStats
 from .errors import DataError
 from .model import Model, ModelConfig
 
@@ -60,6 +61,15 @@ def _check_meta_length(path, value, key: str, n: int) -> None:
     if not isinstance(value, list) or len(value) != n:
         found = len(value) if isinstance(value, list) else repr(value)
         raise DataError(f"checkpoint {path} meta {key} has {found} entries, expected {n}")
+
+
+def _check_meta_reals(path, values: list, key: str, lo: float = -math.inf) -> None:
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value) or value < lo:
+            raise DataError(
+                f"checkpoint {path} meta {key} holds {value!r}, not a finite number >= {lo}"
+            )
 
 
 @dataclass
@@ -211,8 +221,14 @@ def load_checkpoint(path) -> Checkpoint:
     norm = meta.get("normalization")
     norm = norm if isinstance(norm, dict) else {}
     _check_meta_length(path, meta.get("sensor_names"), "sensor_names", config.n_sensors)
-    for key in ("shift", "scale"):
+    if not all(isinstance(name, str) for name in meta["sensor_names"]):
+        raise DataError(f"checkpoint {path} meta sensor_names holds a non-string entry")
+    if norm.get("mode") not in NORMALIZATION_MODES:
+        raise DataError(f"checkpoint {path} meta normalization.mode={norm.get('mode')!r} "
+                        f"is not one of {NORMALIZATION_MODES}")
+    for key, lo in (("shift", -math.inf), ("scale", 0.0)):
         _check_meta_length(path, norm.get(key), f"normalization.{key}", config.n_sensors)
+        _check_meta_reals(path, norm[key], f"normalization.{key}", lo)
     if "val_errors" not in arrays:
         raise DataError(f"checkpoint {path} missing validation errors")
     val_errors = arrays["val_errors"].astype(np.float64)

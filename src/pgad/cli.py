@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import checkpoint_from_result, load_checkpoint, save_checkpoint
-from .data import SeriesMatrix, fit_normalizer, generate_synthetic, ingest_csv, write_csv
+from .data import (
+    NORMALIZATION_MODES,
+    SeriesMatrix,
+    fit_normalizer,
+    generate_synthetic,
+    ingest_csv,
+    write_csv,
+)
 from .errors import ConfigError, DivergenceError, PgadError
 from .experiments import (
     ABLATION_VARIANTS,
@@ -463,7 +470,7 @@ def _add_train_flags(parser: argparse.ArgumentParser, exclude: tuple[str, ...] =
     add("--batch-size", dest="batch_size", type=int)
     add("--lr", type=float, help="learning rate")
     add("--seed", type=int, help="RNG seed")
-    add("--normalization", choices=("minmax", "zscore"))
+    add("--normalization", choices=NORMALIZATION_MODES)
     add("--grad-clip", dest="grad_clip", type=float,
         help="global gradient-norm cap (0 disables)")
     add("--embed-dim", dest="embed_dim", type=int)

@@ -158,6 +158,9 @@ def write_csv(series: SeriesMatrix, path) -> None:
             writer.writerow(row)
 
 
+NORMALIZATION_MODES = ("minmax", "zscore")
+
+
 @dataclass
 class NormalizationStats:
     """Per-sensor affine normalization fitted on training data only.
@@ -186,7 +189,7 @@ class NormalizationStats:
 
 def fit_normalizer(train: SeriesMatrix, mode: str = "minmax") -> NormalizationStats:
     """Fit minmax ([0,1] per sensor) or zscore (mean 0, population std 1)."""
-    if mode not in ("minmax", "zscore"):
+    if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode: {mode!r}")
     if train.length < 2:
         raise DataError("need at least 2 timestamps to fit a normalizer")

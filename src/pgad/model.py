@@ -192,28 +192,28 @@ def spatial_aggregate(x_proj, alpha, att_w) -> dict:
     return {"wx": wx, "s_mask": s_mask, "h_s": np.where(s_mask, pre_s, 0.0)}
 
 
-def _conv_taps(x, kernel, dilation, base, out_len):
-    """Stack the dilated input slices one kernel tap deep: (..., in_ch, c, L_out)."""
-    return np.stack(
-        [x[..., base - dilation * s : base - dilation * s + out_len] for s in range(kernel)],
-        axis=-2,
-    )
+def _conv_taps(x, kmax, dilation, base, out_len):
+    """Tap matrix (..., in_ch * kmax, L_out) of x (..., in_ch, L).
+
+    Row i * kmax + s holds x[..., i, base - dilation * s + l]: tap s of
+    every kernel, since each kernel is truncated to the largest one's
+    receptive field.
+    """
+    starts = np.lib.stride_tricks.sliding_window_view(x, out_len, axis=-1)
+    taps = starts[..., base::-dilation, :]  # kmax starts: base, base - dilation, ..., 0
+    return np.ascontiguousarray(taps).reshape(x.shape[:-2] + (x.shape[-2] * kmax, out_len))
 
 
-def _conv_layer_forward(x, filters, kernel_sizes, dilation):
-    """x: (..., in_ch, L) -> pre-activation (..., n_kernels * C, L_out)."""
-    span = max(kernel_sizes) - 1
-    base = dilation * span
-    out_len = x.shape[-1] - base
-    if out_len < 1:
-        raise ValueError(
-            f"sequence of length {x.shape[-1]} shorter than receptive field {base + 1}"
-        )
-    outs = [
-        np.einsum("oic,...icl->...ol", filters[c], _conv_taps(x, c, dilation, base, out_len))
-        for c in kernel_sizes
-    ]
-    return np.concatenate(outs, axis=-2), base, out_len
+def _conv_filter_matrix(filters, kmax):
+    """Stack {c: (C, in_ch, c)} banks, in kernel order, into one
+    (n_kernels * C, in_ch * kmax) matrix, each zero past its own size."""
+    banks = [filters[c] for c in sorted(filters)]
+    out = np.zeros((sum(f.shape[0] for f in banks), banks[0].shape[1], kmax))
+    off = 0
+    for f in banks:  # slice assignment: np.pad costs ~30x more at these sizes
+        out[off : off + f.shape[0], :, : f.shape[2]] = f
+        off += f.shape[0]
+    return out.reshape(out.shape[0], -1)
 
 
 def conv_stack(window, filter_layers, dilation: int = 1) -> dict:
@@ -223,18 +223,28 @@ def conv_stack(window, filter_layers, dilation: int = 1) -> dict:
     layer, dilation doubling after each) of {kernel_size: (C, in_ch, c)}
     filter banks. Every kernel's output is truncated to the receptive
     field of the largest kernel, keeping the most recent positions, then
-    channels are concatenated and passed through ReLU. Returns the
-    features flattened to `t_flat` (..., N, channels * L_out) and, in
-    `conv`, each layer's input, ReLU mask and geometry.
+    channels are concatenated and passed through ReLU. Each layer is one
+    broadcast matmul of the stacked filters over the shared tap matrix, so
+    every window's output is its own GEMM. Returns the features flattened
+    to `t_flat` (..., N, channels * L_out) and, in `conv`, each layer's
+    input, ReLU mask and geometry.
     """
     x = np.asarray(window, dtype=np.float64)[..., None, :]
     layers = []
     q = dilation
     for filters in filter_layers:
-        pre, base, out_len = _conv_layer_forward(x, filters, sorted(filters), q)
+        kmax = max(filters)
+        base = q * (kmax - 1)
+        out_len = x.shape[-1] - base
+        if out_len < 1:
+            raise ValueError(
+                f"sequence of length {x.shape[-1]} shorter than receptive field {base + 1}"
+            )
+        pre = _conv_filter_matrix(filters, kmax) @ _conv_taps(x, kmax, q, base, out_len)
         mask = pre > 0
+        np.maximum(pre, 0.0, out=pre)  # ReLU in place
         layers.append({"x": x, "mask": mask, "dilation": q, "base": base, "out_len": out_len})
-        x = np.where(mask, pre, 0.0)
+        x = pre
         q *= 2
     return {"conv": layers, "t_flat": x.reshape(x.shape[:-2] + (-1,))}
 
@@ -440,29 +450,29 @@ class Model:
             d_act = (dt_red @ params["tred_w"]).reshape(
                 b, n, cfg.conv_channels_total(), cfg.conv_out_len()
             )
+            kmax = max(cfg.kernel_sizes)
             for l in reversed(range(cfg.tcn_layers)):
                 layer = g["conv"][l]
-                dpre = d_act * layer["mask"]
+                dpre = np.multiply(d_act, layer["mask"], out=d_act)
                 q, base, out_len = layer["dilation"], layer["base"], layer["out_len"]
                 x_in = layer["x"]
-                dx = np.zeros_like(x_in) if l > 0 else None
-                off = 0
-                for c in cfg.kernel_sizes:
-                    dpre_c = dpre[..., off : off + cfg.channels, :]
-                    off += cfg.channels
-                    taps = _conv_taps(x_in, c, q, base, out_len)
-                    grads[f"conv{l}_k{c}"] += np.tensordot(
-                        dpre_c, taps, axes=([0, 1, 3], [0, 1, 4])
+                in_ch = x_in.shape[-2]
+                # one product per window, then the sum over windows: a tensordot
+                # would first copy dpre into a (channels, rows) layout
+                taps = _conv_taps(x_in, kmax, q, base, out_len)
+                dw = (dpre @ np.swapaxes(taps, -1, -2)).sum(axis=(0, 1)).reshape(-1, in_ch, kmax)
+                for k, c in enumerate(cfg.kernel_sizes):
+                    off = k * cfg.channels
+                    grads[f"conv{l}_k{c}"] += dw[off : off + cfg.channels, :, :c]
+                if l > 0:
+                    filt = _conv_filter_matrix(
+                        {c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}, kmax
                     )
-                    if dx is not None:
-                        filt = params[f"conv{l}_k{c}"]
-                        for s in range(c):
-                            lo = base - q * s
-                            dx[..., lo : lo + out_len] += np.einsum(
-                                "oi,bnol->bnil", filt[:, :, s], dpre_c
-                            )
-                if dx is not None:
-                    d_act = dx
+                    dtaps = (filt.T @ dpre).reshape(b, n, in_ch, kmax, out_len)
+                    d_act = np.zeros_like(x_in)
+                    for s in range(kmax):
+                        lo = base - q * s
+                        d_act[..., lo : lo + out_len] += dtaps[..., s, :]
         else:
             dh_s = dfused
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import param_checksum
-from .data import SeriesMatrix, fit_normalizer, make_windows
+from .data import NORMALIZATION_MODES, SeriesMatrix, fit_normalizer, make_windows
 from .errors import DataError, DivergenceError
 from .graph import cosine_similarity, topk_adjacency
 from .model import Model, ModelConfig
@@ -75,7 +75,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.normalization not in ("minmax", "zscore"):
+        if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.grad_clip < 0:
             raise ValueError("grad_clip must be >= 0")

@@ -52,6 +52,29 @@ def dilated_conv(x, filt, dilation: int = 1) -> np.ndarray:
     return out
 
 
+def einsum_conv_stack(window, filter_layers, dilation: int = 1) -> dict:
+    """`conv_stack` one kernel at a time: per-kernel stacked taps, an einsum
+    per kernel, the channel blocks concatenated, then ReLU."""
+    x = np.asarray(window, dtype=np.float64)[..., None, :]
+    layers = []
+    q = dilation
+    for filters in filter_layers:
+        base = q * (max(filters) - 1)
+        out_len = x.shape[-1] - base
+        outs = []
+        for c in sorted(filters):
+            taps = np.stack(
+                [x[..., base - q * s : base - q * s + out_len] for s in range(c)], axis=-2
+            )
+            outs.append(np.einsum("oic,...icl->...ol", filters[c], taps))
+        pre = np.concatenate(outs, axis=-2)
+        mask = pre > 0
+        layers.append({"x": x, "mask": mask, "dilation": q, "base": base, "out_len": out_len})
+        x = np.where(mask, pre, 0.0)
+        q *= 2
+    return {"conv": layers, "t_flat": x.reshape(x.shape[:-2] + (-1,))}
+
+
 def dense_ordered_mix(alpha, features) -> np.ndarray:
     """Neighbour mix over all N columns: out[..., i, f] is the value-sorted
     sum over j of alpha[i, j] * features[..., j, f], zero weights included."""

@@ -193,3 +193,31 @@ class TestRejection:
         self.rewrite_meta(path, mutate)
         with pytest.raises(DataError, match=key):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key,index,value",
+        [
+            ("shift", 1, "0.5"),
+            ("shift", 0, True),
+            ("shift", 2, float("nan")),
+            ("shift", 3, float("-inf")),
+            ("scale", 1, -0.5),
+            ("scale", 0, float("inf")),
+            ("scale", 2, None),
+            ("mode", None, "robust"),
+            ("sensor_names", 1, 3),
+        ],
+    )
+    def test_invalid_normalization_values_rejected(self, trained, tmp_path, key, index, value):
+        path = self.save(trained, tmp_path)
+
+        def mutate(meta, data):
+            holder = meta if key == "sensor_names" else meta["normalization"]
+            if index is None:
+                holder[key] = value
+            else:
+                holder[key][index] = value
+
+        self.rewrite_meta(path, mutate)
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path)

@@ -341,6 +341,20 @@ class TestCorruptCheckpoint:
         path = tampered_checkpoint(cli_workspace / "checkpoint.npz", tmp_path, truncate)
         assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
 
+    @pytest.mark.parametrize(
+        "key,value", [("shift", "0.5"), ("scale", -1.0), ("mode", "robust")]
+    )
+    def test_invalid_normalization_exits_two(self, cli_workspace, tmp_path, key, value):
+        def corrupt(meta, data):
+            norm = meta["normalization"]
+            if key == "mode":
+                norm[key] = value
+            else:
+                norm[key][0] = value
+
+        path = tampered_checkpoint(cli_workspace / "checkpoint.npz", tmp_path, corrupt)
+        assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
+
 
 class TestAblateCommand:
     def test_table_and_json(self, cli_workspace, tmp_path, capsys):

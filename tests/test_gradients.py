@@ -31,6 +31,11 @@ class TestFiniteDifferences:
         config = tiny_model_config(window=16, dilation=2)
         assert worst_gradient_error(52, config) <= 1e-4
 
+    def test_short_kernels_in_deeper_dilated_layer(self):
+        # kernels shorter than the largest leave zero-padded tap columns
+        config = tiny_model_config(window=16, tcn_layers=2, dilation=2, kernel_sizes=(1, 3))
+        assert worst_gradient_error(54, config) <= 1e-4
+
     def test_single_window_batch(self):
         config = tiny_model_config()
         assert worst_gradient_error(53, config, batch=1) <= 1e-4

@@ -24,6 +24,7 @@ from pgad.model import (
 from helpers import (
     dense_ordered_mix,
     dilated_conv,
+    einsum_conv_stack,
     permutation_mismatches,
     random_instance,
     tiny_model_config,
@@ -231,6 +232,32 @@ class TestTemporalModule:
         out = conv_stack(rng.normal(size=(3, 20)), [layer1, layer2], 1)["t_flat"]
         # 20 - 4 = 16 after layer one, minus 2*4 at dilation 2 leaves 8
         assert out.shape == (3, 6 * 8)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("kernels", [(1,), (3,), (1, 4), (2, 3, 5)])
+    def test_matches_per_kernel_einsum_oracle(self, layers, dilation, kernels):
+        rng = np.random.default_rng(100 * layers + 10 * dilation + len(kernels))
+        channels = 2
+        span = sum(dilation * (1 << l) * (max(kernels) - 1) for l in range(layers))
+        w = span + 5
+        filter_layers, in_ch = [], 1
+        for _ in range(layers):
+            filter_layers.append(
+                {c: rng.normal(size=(channels, in_ch, c)) for c in kernels}
+            )
+            in_ch = channels * len(kernels)
+        for shape in [(w,), (3, w), (2, 4, w)]:
+            x = rng.normal(size=shape)
+            out = conv_stack(x, filter_layers, dilation)
+            oracle = einsum_conv_stack(x, filter_layers, dilation)
+            assert out["t_flat"].shape == oracle["t_flat"].shape
+            np.testing.assert_allclose(out["t_flat"], oracle["t_flat"], rtol=0, atol=1e-12)
+            assert len(out["conv"]) == layers
+            for got, want in zip(out["conv"], oracle["conv"]):
+                np.testing.assert_array_equal(got["mask"], want["mask"])
+                for key in ("dilation", "base", "out_len"):
+                    assert got[key] == want[key]
 
 
 class TestFuseAndPredict:
