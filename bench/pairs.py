@@ -10,13 +10,15 @@ the working tree this script lives in. Each pair runs
     python3 perfbench/run.py --workload W --seed S --trace 0
 
 once on each side, one run at a time, and the side that runs first
-alternates from pair to pair. Per workload and metric the output holds
-each side's median and quartiles (linear percentiles) over the runs, the
-number of pairs the change won, the share of the parent's median the
-change moved by, and each side's attempted and failed operation counts
-and `env:` line. `--trace` adds one traced run (`--trace 1`) per side and
-records its per-layer metrics. Entries are merged into `--out`, keyed by
-the workload name, with `-seed<S>` appended for any seed but 7.
+alternates from pair to pair. With `--trace`, each pair then runs
+`--trace 1` once on each side, in the same order. Per workload and metric
+the output holds each side's median and quartiles (linear percentiles)
+over the runs, the number of pairs the change won, the share of the
+parent's median the change moved by, and each side's attempted and failed
+operation counts and `env:` line: under `end_to_end` for the untraced
+runs and under `per_layer` for the traced ones. Entries are merged into
+`--out`, keyed by the workload name, with `-seed<S>` appended for any
+seed but 7.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", action="store_true",
-                        help="also run one traced run per side and record its layer metrics")
+                        help="also run one traced run per side in every pair and record "
+                             "the layer metrics")
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON file to merge the results into")
     args = parser.parse_args(argv)
@@ -126,16 +129,17 @@ def main(argv=None) -> int:
     try:
         sha = export_revision(args.parent, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
-        runs = {"parent": [], "change": []}
+        modes = (False, True) if args.trace else (False,)
+        runs = {traced: {"parent": [], "change": []} for traced in modes}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(roots[side], args.workload, args.seed, False))
+            for traced in modes:
+                for side in order:
+                    runs[traced][side].append(
+                        run_once(roots[side], args.workload, args.seed, traced))
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{side} {runs[side][-1]['metrics'].get('score_s', float('nan')):.3f} s score"
-                for side in order), file=sys.stderr, flush=True)
-        traced = {side: run_once(roots[side], args.workload, args.seed, True)
-                  for side in ("parent", "change")} if args.trace else None
+                f"{side} {runs[False][side][-1]['metrics'].get('score_s', float('nan')):.3f} s "
+                "score" for side in order), file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(parent_root, ignore_errors=True)
         try:
@@ -146,13 +150,11 @@ def main(argv=None) -> int:
     key = args.workload if args.seed == DEFAULT_SEED else f"{args.workload}-seed{args.seed}"
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out["parent_commit"] = sha
-    out.setdefault("end_to_end", {})[key] = summarise(args.workload, args.seed, runs, better)
-    if traced:
-        out.setdefault("per_layer", {})[key] = {
-            name: {side: traced[side]["metrics"][name] for side in traced}
-            for name in traced["parent"]["metrics"]
-        }
-        out["end_to_end"][key]["traced_failed"] = {side: traced[side]["failed"] for side in traced}
+    out.setdefault("end_to_end", {})[key] = summarise(args.workload, args.seed, runs[False],
+                                                      better)
+    if args.trace:
+        out.setdefault("per_layer", {})[key] = summarise(args.workload, args.seed, runs[True],
+                                                         better)
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 

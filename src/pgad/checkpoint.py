@@ -98,7 +98,6 @@ def make_checkpoint(
     period: int,
     dominant_frequency: int,
     aperiodic: bool,
-    period_per_window: bool,
     neighbors: int,
     train_length: int,
     sensor_names: list[str],
@@ -116,7 +115,6 @@ def make_checkpoint(
         "period": int(period),
         "dominant_frequency": int(dominant_frequency),
         "aperiodic": bool(aperiodic),
-        "period_per_window": bool(period_per_window),
         "neighbors": int(neighbors),
         "train_length": int(train_length),
         "sensor_names": list(sensor_names),
@@ -146,7 +144,6 @@ def checkpoint_from_result(result, sensor_names, *, extra: dict | None = None) -
         period=result.period_profile.period,
         dominant_frequency=result.period_profile.dominant_frequency,
         aperiodic=result.period_profile.aperiodic,
-        period_per_window=result.period_per_window,
         neighbors=result.neighbors_effective,
         train_length=result.train_length,
         sensor_names=sensor_names,
@@ -218,6 +215,9 @@ def load_checkpoint(path) -> Checkpoint:
     _check_meta_int(path, meta, "period", 1)
     _check_meta_int(path, meta, "neighbors", 1, config.n_sensors - 1)
     _check_meta_int(path, meta, "train_length", 0)
+    if meta.get("period_per_window", False) is not False:
+        raise DataError(f"checkpoint {path} was trained with per-window periods, "
+                        "which are no longer supported; retrain it")
     norm = meta.get("normalization")
     norm = norm if isinstance(norm, dict) else {}
     _check_meta_length(path, meta.get("sensor_names"), "sensor_names", config.n_sensors)

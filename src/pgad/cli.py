@@ -483,9 +483,6 @@ def _add_train_flags(parser: argparse.ArgumentParser, exclude: tuple[str, ...] =
     add("--dilation", type=int)
     add("--tcn-layers", dest="tcn_layers", type=int)
     add("--val-fraction", dest="val_fraction", type=float)
-    add("--period-per-window", dest="period_per_window",
-        action="store_const", const=True,
-        help="re-estimate the period from each window")
     add("--ablate", choices=("static-graph", "no-temporal"),
         help="train an ablated variant")
 

@@ -17,7 +17,7 @@ simultaneous permutation of the sensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,15 +181,23 @@ def attention_coefficients(embedding, adjacency, att_w, att_a, slope: float = 0.
     return {"v": v, "raw": raw, "logits": logits, "mask": mask, "alpha": alpha}
 
 
-def spatial_aggregate(x_proj, alpha, att_w) -> dict:
+def spatial_aggregate(x_proj, alpha, att_w, rows=None) -> dict:
     """h_i = ReLU(sum_j alpha[i, j] * W x'_j), the self term included in alpha.
 
-    Returns `h_s` with the projected features `wx` and the ReLU mask.
+    `alpha` mixes every row of `x_proj` (..., N, d). With `rows`, `alpha`
+    is a list instead, one entry per phase slot, and alpha[g] mixes only
+    the batch rows rows[g] of a (B, N, d) input. Returns `h_s` with the
+    projected features `wx` and the ReLU mask.
     """
     wx = _rowwise(x_proj, att_w)
-    pre_s = _ordered_mix(alpha, wx)
+    if rows is None:
+        alpha, rows = [alpha], [Ellipsis]
+    pre_s = np.empty_like(wx)
+    for idx, slot_alpha in zip(rows, alpha):
+        pre_s[idx] = _ordered_mix(slot_alpha, wx[idx])
     s_mask = pre_s > 0
-    return {"wx": wx, "s_mask": s_mask, "h_s": np.where(s_mask, pre_s, 0.0)}
+    np.maximum(pre_s, 0.0, out=pre_s)  # ReLU in place
+    return {"wx": wx, "s_mask": s_mask, "h_s": pre_s}
 
 
 def _conv_taps(x, kmax, dilation, base, out_len):
@@ -263,7 +271,7 @@ def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
     y_ln = params["ln_gain"] * xhat + params["ln_bias"]
     z1 = _rowwise(y_ln, params["mlp_w1"]) + params["mlp_b1"]
     z1_mask = z1 > 0
-    r1 = np.where(z1_mask, z1, 0.0)
+    r1 = np.maximum(z1, 0.0, out=z1)  # ReLU in place
     pred = np.einsum("...h,h->...", r1, params["mlp_w2"]) + params["mlp_b2"]
     return {
         "xhat": xhat, "inv_std": inv_std, "y_ln": y_ln,
@@ -274,17 +282,24 @@ def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
 # ---------------------------------------------------------------------------
 # full model
 
+# Windows per forward in `Model.predict`. Every block's intermediates scale
+# with it; at N=51 a 256-window chunk's conv activations alone take ~150 MB.
+PREDICT_CHUNK = 64
+
+
 @dataclass
 class ForwardTrace:
     """Retained intermediates of one batched forward pass.
 
-    `groups` holds one dict per phase slot present in the batch, with the
-    original batch indices plus the attention internals (alpha, logits),
-    spatial/temporal features, and MLP activations needed for backward.
+    `batch` holds the whole-batch intermediates backward needs: the
+    windows, projected inputs, spatial and temporal features, and the
+    LayerNorm and MLP activations. `groups` holds one dict per phase slot
+    present in the batch: its batch row indices `idx`, the `slot` and the
+    slot's attention internals `att`.
     """
 
-    groups: list[dict] = field(default_factory=list)
-    batch: int = 0
+    batch: dict
+    groups: list[dict]
 
 
 class Model:
@@ -355,48 +370,44 @@ class Model:
     def forward(self, windows, slot_ids, adjacencies, params):
         """windows (B, N, w); slot_ids (B,); adjacencies: one per slot.
 
+        Every block runs once over the whole batch except the attention
+        coefficients and the neighbour mix, which run once per phase slot
+        present and write their rows into one (B, N, F) buffer.
         Returns (predictions (B, N), ForwardTrace).
         """
         cfg = self.config
         windows = np.asarray(windows, dtype=np.float64)
         slot_ids = np.asarray(slot_ids)
-        batch = windows.shape[0]
         if windows.shape[1:] != (cfg.n_sensors, cfg.window):
             raise ValueError(
                 f"windows shaped {windows.shape}, expected "
                 f"(B, {cfg.n_sensors}, {cfg.window})"
             )
-        preds = np.empty((batch, cfg.n_sensors))
-        trace = ForwardTrace(batch=batch)
-        for slot in np.unique(slot_ids):
-            idx = np.flatnonzero(slot_ids == slot)
-            group = self._forward_group(windows[idx], int(slot), adjacencies[int(slot)], params)
-            group["idx"] = idx
-            group["slot"] = int(slot)
-            preds[idx] = group["pred"]
-            trace.groups.append(group)
-        return preds, trace
-
-    def _forward_group(self, xw, slot, adjacency, params):
-        cfg = self.config
-        group = {"window": xw, "x_proj": project_input(xw, params["proj_w"], params["proj_b"])}
-        group["att"] = attention_coefficients(
-            params[f"emb_{slot}"], adjacency, params["att_w"], params["att_a"],
-            cfg.leaky_slope,
-        )
-        group.update(spatial_aggregate(group["x_proj"], group["att"]["alpha"], params["att_w"]))
+        groups = []
+        for slot in np.unique(slot_ids).tolist():
+            att = attention_coefficients(
+                params[f"emb_{slot}"], adjacencies[slot], params["att_w"], params["att_a"],
+                cfg.leaky_slope,
+            )
+            groups.append({"idx": np.flatnonzero(slot_ids == slot), "slot": slot, "att": att})
+        x_proj = project_input(windows, params["proj_w"], params["proj_b"])
+        values = {"window": windows, "x_proj": x_proj}
+        values.update(spatial_aggregate(
+            x_proj, [g["att"]["alpha"] for g in groups], params["att_w"],
+            [g["idx"] for g in groups],
+        ))
         h_t = None
         if cfg.use_temporal:
             filter_layers = [
                 {c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}
                 for l in range(cfg.tcn_layers)
             ]
-            group.update(conv_stack(xw, filter_layers, cfg.dilation))
-            h_t = project_input(group["t_flat"], params["tred_w"], params["tred_b"])
-        group.update(fuse_and_predict(group["h_s"], h_t, params, cfg.ln_eps))
-        return group
+            values.update(conv_stack(windows, filter_layers, cfg.dilation))
+            h_t = project_input(values["t_flat"], params["tred_w"], params["tred_b"])
+        values.update(fuse_and_predict(values["h_s"], h_t, params, cfg.ln_eps))
+        return values["pred"], ForwardTrace(values, groups)
 
-    def predict(self, windows, slot_ids, adjacencies, params, chunk_size: int = 256):
+    def predict(self, windows, slot_ids, adjacencies, params, chunk_size: int = PREDICT_CHUNK):
         """Forward without keeping traces; chunked to bound memory."""
         windows = np.asarray(windows, dtype=np.float64)
         out = np.empty((windows.shape[0], self.config.n_sensors))
@@ -409,17 +420,18 @@ class Model:
     # -- backward ----------------------------------------------------------
 
     def backward(self, trace: ForwardTrace, d_preds, params):
-        """Gradients for every parameter given d(loss)/d(predictions)."""
+        """Gradients for every parameter given d(loss)/d(predictions).
+
+        Weight grads are taken once over the whole batch; only the
+        attention, embedding and neighbour-mix grads loop over the slots.
+        """
         if not trace.groups:
             raise ValueError("backward called without a forward trace")
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        for group in trace.groups:
-            self._backward_group(group, d_preds[group["idx"]], params, grads)
-        return grads
-
-    def _backward_group(self, g, dpred, params, grads):
         cfg = self.config
+        g = trace.batch
+        dpred = np.asarray(d_preds)
         b, n = dpred.shape
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
 
         # output MLP
         grads["mlp_w2"] += np.einsum("bn,bnh->h", dpred, g["r1"])
@@ -476,28 +488,30 @@ class Model:
         else:
             dh_s = dfused
 
-        # spatial branch: aggregation, then attention back to embeddings
+        # spatial branch: the mix and attention per slot, back to embeddings
         dpre_s = dh_s * g["s_mask"]
-        alpha = g["att"]["alpha"]
-        dalpha = np.tensordot(dpre_s, g["wx"], axes=([0, 2], [0, 2]))
-        dwx = alpha.T @ dpre_s
+        dwx = np.empty_like(dpre_s)
+        d_prime = cfg.spatial_dim
+        for group in trace.groups:
+            idx, att = group["idx"], group["att"]
+            alpha, v = att["alpha"], att["v"]
+            dpre_g = dpre_s[idx]
+            dalpha = np.tensordot(dpre_g, g["wx"][idx], axes=([0, 2], [0, 2]))
+            dwx[idx] = alpha.T @ dpre_g
+            dlogit = alpha * (dalpha - (alpha * dalpha).sum(-1, keepdims=True))
+            draw = dlogit * np.where(att["raw"] > 0, 1.0, cfg.leaky_slope)
+            dsrc = draw.sum(axis=1)
+            ddst = draw.sum(axis=0)
+            dv = dsrc[:, None] * params["att_a"][None, :d_prime] \
+                + ddst[:, None] * params["att_a"][None, d_prime:]
+            grads["att_a"][:d_prime] += v.T @ dsrc
+            grads["att_a"][d_prime:] += v.T @ ddst
+            grads["att_w"] += dv.T @ params[f"emb_{group['slot']}"]
+            grads[f"emb_{group['slot']}"] += dv @ params["att_w"]
         grads["att_w"] += _flat(dwx).T @ _flat(g["x_proj"])
         dxp = dwx @ params["att_w"]
-
-        dlogit = alpha * (dalpha - (alpha * dalpha).sum(-1, keepdims=True))
-        draw = dlogit * np.where(g["att"]["raw"] > 0, 1.0, cfg.leaky_slope)
-        dsrc = draw.sum(axis=1)
-        ddst = draw.sum(axis=0)
-        d_prime = cfg.spatial_dim
-        v = g["att"]["v"]
-        dv = dsrc[:, None] * params["att_a"][None, :d_prime] \
-            + ddst[:, None] * params["att_a"][None, d_prime:]
-        grads["att_a"][:d_prime] += v.T @ dsrc
-        grads["att_a"][d_prime:] += v.T @ ddst
-        emb = params[f"emb_{g['slot']}"]
-        grads["att_w"] += dv.T @ emb
-        grads[f"emb_{g['slot']}"] += dv @ params["att_w"]
 
         # input projection
         grads["proj_w"] += _flat(dxp).T @ _flat(g["window"])
         grads["proj_b"] += dxp.sum((0, 1))
+        return grads

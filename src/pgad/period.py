@@ -32,31 +32,24 @@ class PeriodProfile:
         return [(int(i) + 1, float(self.amplitudes[i])) for i in order]
 
 
-def dominant_periods(values: np.ndarray):
-    """Spectrum and dominant period of each (..., N, T) block of series.
-
-    Averages the per-sensor DFT magnitudes of bins 1..floor(T/2) over the
-    N axis, picks the strongest bin f (ties go to the lower bin, i.e. the
-    longer period) and sets period = ceil(T / f). A flat spectrum falls
-    back to period = T with f = 1 as a sentinel and the aperiodic flag set.
-    Returns (amplitudes, dominant_frequency, period, aperiodic) arrays.
-    """
-    length = values.shape[-1]
-    amps = np.abs(np.fft.rfft(values, axis=-1))[..., 1 : length // 2 + 1].mean(axis=-2)
-    aperiodic = amps.max(axis=-1) <= APERIODIC_EPS
-    freq = np.where(aperiodic, 1, amps.argmax(axis=-1) + 1)
-    period = np.where(aperiodic, length, (length + freq - 1) // freq)
-    return amps, freq, period, aperiodic
-
-
 def amplitude_spectrum(series: SeriesMatrix) -> np.ndarray:
     """Per-sensor DFT magnitudes for bins 1..floor(T/2), averaged over sensors."""
     return detect_period(series).amplitudes
 
 
 def detect_period(series: SeriesMatrix) -> PeriodProfile:
-    """Dominant period of a whole series; see `dominant_periods`."""
-    if series.length < 4:
-        raise DataError(f"need T >= 4 for a spectrum, got T={series.length}")
-    amps, freq, period, aperiodic = dominant_periods(series.values)
-    return PeriodProfile(amps, int(freq), int(period), bool(aperiodic))
+    """Dominant period of a whole (N, T) series.
+
+    Averages the per-sensor DFT magnitudes of bins 1..floor(T/2) over the
+    sensors, picks the strongest bin f (ties go to the lower bin, i.e. the
+    longer period) and sets period = ceil(T / f). A flat spectrum falls
+    back to period = T with f = 1 as a sentinel and the aperiodic flag set.
+    """
+    length = series.length
+    if length < 4:
+        raise DataError(f"need T >= 4 for a spectrum, got T={length}")
+    amps = np.abs(np.fft.rfft(series.values, axis=-1))[:, 1 : length // 2 + 1].mean(axis=0)
+    if amps.max() <= APERIODIC_EPS:
+        return PeriodProfile(amps, 1, length, True)
+    freq = int(amps.argmax()) + 1
+    return PeriodProfile(amps, freq, (length + freq - 1) // freq)

@@ -226,7 +226,6 @@ def score_series(
     threshold_mode: str = "max_validation",
     fixed_value: float | None = None,
     point_adjust: bool = False,
-    chunk_size: int = 256,
 ) -> tuple[ScoreTrace, MetricsReport | None]:
     """Score a test series that directly continues the training series.
 
@@ -248,17 +247,12 @@ def score_series(
     normalized = SeriesMatrix(stats.apply(test.values), test.sensor_names)
     batch = make_windows(normalized, config.window, stride=1)
     global_starts = checkpoint.meta["train_length"] + batch.window_start_indices
-    slots = slot_ids_for_windows(
-        global_starts, checkpoint.meta["period"], config.slots,
-        windows=batch.windows,
-        per_window=checkpoint.meta.get("period_per_window", False),
-    )
+    slots = slot_ids_for_windows(global_starts, checkpoint.meta["period"], config.slots)
     adjacencies = build_adjacencies(
         checkpoint.params, config.slots, checkpoint.meta["neighbors"]
     )
     model = Model(config)
-    preds = model.predict(batch.windows, slots, adjacencies, checkpoint.params,
-                          chunk_size=chunk_size)
+    preds = model.predict(batch.windows, slots, adjacencies, checkpoint.params)
 
     errors = sensor_errors(preds, batch.targets)
     calibration = ScoreCalibration.from_errors(checkpoint.val_errors)

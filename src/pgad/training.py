@@ -23,7 +23,7 @@ from .data import NORMALIZATION_MODES, SeriesMatrix, fit_normalizer, make_window
 from .errors import DataError, DivergenceError
 from .graph import cosine_similarity, topk_adjacency
 from .model import Model, ModelConfig
-from .period import PeriodProfile, detect_period, dominant_periods
+from .period import PeriodProfile, detect_period
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,6 @@ class TrainConfig:
     use_temporal: bool = True
     val_fraction: float = 0.1
     min_val_windows: int = 4
-    period_per_window: bool = False
 
     def validate(self) -> None:
         if self.window < 2:
@@ -194,7 +193,6 @@ class TrainResult:
     period_profile: PeriodProfile
     train_length: int
     neighbors_effective: int
-    period_per_window: bool
     report: TrainReport
 
 
@@ -210,24 +208,9 @@ def build_adjacencies(params: dict[str, np.ndarray], n_slots: int, k: int) -> li
     return adjacencies
 
 
-def slot_ids_for_windows(
-    starts: np.ndarray,
-    period: int,
-    n_slots: int,
-    *,
-    windows: np.ndarray | None = None,
-    per_window: bool = False,
-) -> np.ndarray:
-    """Phase slot of each window; `starts` are absolute timestamps.
-
-    With `per_window` the period is re-estimated from each window's own
-    spectrum instead of the frozen training-split period.
-    """
-    if per_window:
-        if windows is None:
-            raise ValueError("per-window slot assignment needs the window contents")
-        period = dominant_periods(windows)[2]
-    if np.min(period) < 1 or n_slots < 1:
+def slot_ids_for_windows(starts: np.ndarray, period: int, n_slots: int) -> np.ndarray:
+    """Phase slot of each window; `starts` are absolute timestamps."""
+    if period < 1 or n_slots < 1:
         raise ValueError("period and n_slots must be positive")
     return ((starts % period) * n_slots) // period
 
@@ -254,10 +237,7 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
             "to reserve a validation split"
         )
     n_train = n_windows - n_val
-    slots = slot_ids_for_windows(
-        batch.window_start_indices, profile.period, config.slots,
-        windows=batch.windows, per_window=config.period_per_window,
-    )
+    slots = slot_ids_for_windows(batch.window_start_indices, profile.period, config.slots)
 
     train_w = batch.windows[:n_train]
     train_t = batch.targets[:n_train]
@@ -360,7 +340,6 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
         period_profile=profile,
         train_length=series.length,
         neighbors_effective=k_eff,
-        period_per_window=config.period_per_window,
         report=report,
     )
 

@@ -206,12 +206,11 @@ def _loss_and_kink_signature(model, params, windows, slot_ids, adjacencies, targ
     """
     preds, trace = model.forward(windows, slot_ids, adjacencies, params)
     loss, _ = l2_loss(preds, targets)
-    parts = []
+    whole = trace.batch
+    parts = [whole["z1_mask"].tobytes(), whole["s_mask"].tobytes()]
+    for layer in whole.get("conv") or []:
+        parts.append(layer["mask"].tobytes())
     for g in trace.groups:
-        parts.append(g["z1_mask"].tobytes())
-        parts.append(g["s_mask"].tobytes())
-        for layer in g.get("conv") or []:
-            parts.append(layer["mask"].tobytes())
         att = g["att"]
         parts.append(((att["raw"] > 0) & (att["alpha"] > 0)).tobytes())
     return loss, b"".join(parts)

@@ -156,6 +156,15 @@ class TestRejection:
         with pytest.raises(DataError, match=key):
             load_checkpoint(path)
 
+    def test_per_window_periods_rejected(self, trained, tmp_path):
+        # older checkpoints record the flag; false still loads
+        path = self.save(trained, tmp_path)
+        self.rewrite_meta(path, lambda meta, data: meta.update(period_per_window=False))
+        load_checkpoint(path)
+        self.rewrite_meta(path, lambda meta, data: meta.update(period_per_window=True))
+        with pytest.raises(DataError, match="per-window"):
+            load_checkpoint(path)
+
     def test_tampered_val_errors(self, trained, tmp_path):
         path = self.save(trained, tmp_path)
         data = dict(np.load(path, allow_pickle=False))

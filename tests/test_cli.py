@@ -178,17 +178,6 @@ class TestTrain:
             "train", str(cli_workspace / "train.csv"), "--warp-speed", "9",
         ]) == 1
 
-    def test_period_per_window_recorded(self, cli_workspace, tmp_path):
-        assert cli.main([
-            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN,
-            "--period-per-window",
-            "--checkpoint", str(tmp_path / "m.npz"),
-            "--report", str(tmp_path / "r.json"),
-            "--loss-curve", str(tmp_path / "c.csv"),
-        ]) == 0
-        ckpt = load_checkpoint(tmp_path / "m.npz")
-        assert ckpt.meta["period_per_window"] is True
-
 
 class TestScore:
     def test_scores_csv_schema_and_metrics(self, cli_workspace, tmp_path):
@@ -317,6 +306,13 @@ class TestCorruptCheckpoint:
         path = tampered_checkpoint(
             cli_workspace / "checkpoint.npz", tmp_path,
             lambda meta, data: meta.update({key: value}),
+        )
+        assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
+
+    def test_per_window_period_checkpoint_exits_two(self, cli_workspace, tmp_path):
+        path = tampered_checkpoint(
+            cli_workspace / "checkpoint.npz", tmp_path,
+            lambda meta, data: meta.update(period_per_window=True),
         )
         assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
 
@@ -475,6 +471,16 @@ class TestConfigCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"momentum": 0.9}))
         assert cli.main(["config", "show", "--config", str(cfg)]) == 1
+
+    def test_removed_period_per_window_key_exits_one(self, cli_workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"period_per_window": True}))
+        assert cli.main(["config", "show", "--config", str(cfg)]) == 1
+        assert cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN,
+            "--config", str(cfg), "--checkpoint", str(tmp_path / "m.npz"),
+        ]) == 1
+        assert not (tmp_path / "m.npz").exists()
 
     def test_unknown_action_exits_one(self):
         assert cli.main(["config", "explain"]) == 1

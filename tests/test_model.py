@@ -20,6 +20,7 @@ from pgad.model import (
     project_input,
     spatial_aggregate,
 )
+from pgad.training import l2_loss
 
 from helpers import (
     dense_ordered_mix,
@@ -366,6 +367,45 @@ class TestModelForward:
         assert set(params) == set(shapes)
         for name, shape in shapes.items():
             assert params[name].shape == tuple(shape)
+
+
+class TestSlotGrouping:
+    """Phase-slot grouping is internal to Model: each window of a batch that
+    mixes slots predicts and backpropagates as it does when the whole batch
+    runs in its slot alone. The oracle batches keep the row count, because
+    OpenBLAS may round a GEMM of a few rows differently from a larger one."""
+
+    @pytest.mark.parametrize("n", [2, 8, 51])
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4])
+    def test_mixed_batch_equals_slot_groups(self, n, slots):
+        config = tiny_model_config(n_sensors=n, slots=slots)
+        model, params, windows, _, adjacencies, targets = random_instance(
+            300 + 10 * n + slots, config, batch=12, k=3
+        )
+        rng = np.random.default_rng(n * slots)
+        everything = list(range(slots))
+        one_missing = [s for s in everything if s != slots // 2] if slots > 1 else everything
+        for present in (everything, one_missing):
+            slot_ids = rng.permutation(np.resize(present, 12))
+            preds, trace = model.forward(windows, slot_ids, adjacencies, params)
+            assert [g["slot"] for g in trace.groups] == present
+            _, dpred = l2_loss(preds, targets)
+            grads = model.backward(trace, dpred, params)
+            summed = {name: np.zeros_like(value) for name, value in params.items()}
+            for slot in present:
+                rows = slot_ids == slot
+                alone, alone_trace = model.forward(
+                    windows, np.full(12, slot), adjacencies, params
+                )
+                np.testing.assert_array_equal(alone[rows], preds[rows])
+                d_alone = np.where(rows[:, None], dpred, 0.0)
+                for name, grad in model.backward(alone_trace, d_alone, params).items():
+                    summed[name] += grad
+            for name, grad in grads.items():
+                scale = max(1.0, float(np.abs(summed[name]).max()))
+                assert np.abs(grad - summed[name]).max() <= 1e-12 * scale, name
+            for slot in set(everything) - set(present):
+                np.testing.assert_array_equal(grads[f"emb_{slot}"], 0.0)
 
 
 class TestNeighbourMix:

@@ -149,18 +149,6 @@ class TestSlotRouting:
         expected = [assign_slot(int(t), 24, 4) for t in starts]
         np.testing.assert_array_equal(ids, expected)
 
-    def test_per_window_period_reestimation(self):
-        t = np.arange(400)
-        signal = np.sin(2.0 * np.pi * t / 8.0)
-        starts = np.arange(0, 384, 3)
-        windows = np.stack([signal[s:s + 16][None, :] for s in starts])
-        ids = slot_ids_for_windows(starts, 999, 4, windows=windows, per_window=True)
-        np.testing.assert_array_equal(ids, ((starts % 8) * 4) // 8)
-
-    def test_per_window_needs_window_contents(self):
-        with pytest.raises(ValueError):
-            slot_ids_for_windows(np.arange(5), 24, 4, per_window=True)
-
     def test_degenerate_embeddings_raise_divergence(self):
         params = {"emb_0": np.zeros((4, 3))}
         with pytest.raises(DivergenceError, match="slot 0"):
