@@ -19,7 +19,7 @@ from .data import (
 from .errors import ConfigError, DataError, DivergenceError, PgadError
 from .graph import cosine_similarity, topk_adjacency
 from .model import Model, ModelConfig
-from .period import PeriodProfile, amplitude_spectrum, detect_period
+from .period import PeriodProfile, detect_period
 from .scoring import (
     MetricsReport,
     ScoreCalibration,
@@ -49,7 +49,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "WindowBatch",
-    "amplitude_spectrum",
     "best_f1_threshold",
     "cosine_similarity",
     "detect_period",

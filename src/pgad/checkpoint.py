@@ -89,20 +89,11 @@ class Checkpoint:
         )
 
 
-def make_checkpoint(
-    config: ModelConfig,
-    params: dict[str, np.ndarray],
-    val_errors: np.ndarray,
-    *,
-    normalization: NormalizationStats,
-    period: int,
-    dominant_frequency: int,
-    aperiodic: bool,
-    neighbors: int,
-    train_length: int,
-    sensor_names: list[str],
-    extra: dict | None = None,
-) -> Checkpoint:
+def checkpoint_from_result(result, sensor_names) -> Checkpoint:
+    """Assemble an in-memory checkpoint from a finished training run."""
+    config = result.model_config
+    normalization = result.normalization
+    profile = result.period_profile
     meta = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_digest(config),
@@ -112,42 +103,21 @@ def make_checkpoint(
             "shift": normalization.shift.tolist(),
             "scale": normalization.scale.tolist(),
         },
-        "period": int(period),
-        "dominant_frequency": int(dominant_frequency),
-        "aperiodic": bool(aperiodic),
-        "neighbors": int(neighbors),
-        "train_length": int(train_length),
+        "period": int(profile.period),
+        "dominant_frequency": int(profile.dominant_frequency),
+        "aperiodic": bool(profile.aperiodic),
+        "neighbors": int(result.neighbors_effective),
+        "train_length": int(result.train_length),
         "sensor_names": list(sensor_names),
-        "params_sha256": param_checksum(params, list(Model(config).param_shapes())),
-        "val_errors_sha256": _val_errors_checksum(val_errors),
+        "params_sha256": param_checksum(result.params, list(Model(config).param_shapes())),
+        "val_errors_sha256": _val_errors_checksum(result.val_errors),
+        "train": result.report.to_dict(),
     }
-    if extra:
-        meta.update(extra)
     return Checkpoint(
         config=config,
-        params=params,
-        val_errors=np.asarray(val_errors, dtype=np.float64),
+        params=result.params,
+        val_errors=np.asarray(result.val_errors, dtype=np.float64),
         meta=meta,
-    )
-
-
-def checkpoint_from_result(result, sensor_names, *, extra: dict | None = None) -> Checkpoint:
-    """Assemble an in-memory checkpoint from a finished training run."""
-    merged = {"train": result.report.to_dict()}
-    if extra:
-        merged.update(extra)
-    return make_checkpoint(
-        result.model_config,
-        result.params,
-        result.val_errors,
-        normalization=result.normalization,
-        period=result.period_profile.period,
-        dominant_frequency=result.period_profile.dominant_frequency,
-        aperiodic=result.period_profile.aperiodic,
-        neighbors=result.neighbors_effective,
-        train_length=result.train_length,
-        sensor_names=sensor_names,
-        extra=merged,
     )
 
 

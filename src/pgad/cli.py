@@ -35,9 +35,10 @@ from .experiments import (
     NEIGHBOR_SWEEP_DEFAULT,
     ablation_f1s,
     sweep_f1s,
+    variant_config,
 )
 from .graph import cosine_similarity
-from .period import detect_period
+from .period import bin_period, detect_period
 from .scoring import score_series
 from .training import LR_GRID, TrainConfig, build_adjacencies, grid_search, train
 
@@ -135,21 +136,21 @@ def _resolve(args, file_cfg: dict, key: str, default=None):
     return CONFIG_SCHEMA[key][1]
 
 
+# ablation variants as the --ablate and --skip flags spell them
+_FLAG_TO_VARIANT = {v.replace("_", "-"): v for v in ABLATION_VARIANTS if v != "full"}
+
+
 def build_train_config(args, file_cfg: dict) -> TrainConfig:
-    kwargs = {}
-    for field in dataclasses.fields(TrainConfig):
-        kwargs[field.name] = _resolve(args, file_cfg, field.name)
+    config = TrainConfig(**{field.name: _resolve(args, file_cfg, field.name)
+                            for field in dataclasses.fields(TrainConfig)})
     ablate = getattr(args, "ablate", None)
-    if ablate == "static-graph":
+    if ablate is not None:
         explicit = getattr(args, "slots", None) is not None or "slots" in file_cfg
-        if explicit and kwargs["slots"] != 1:
+        if ablate == "static-graph" and explicit and config.slots != 1:
             raise ConfigError(
                 "--ablate static-graph forces slots=1; drop the conflicting slots setting"
             )
-        kwargs["slots"] = 1
-    elif ablate == "no-temporal":
-        kwargs["use_temporal"] = False
-    config = TrainConfig(**kwargs)
+        config = variant_config(config, _FLAG_TO_VARIANT[ablate])
     try:
         config.validate()
     except ValueError as exc:
@@ -230,8 +231,8 @@ def cmd_period(args, file_cfg) -> int:
     print()
     print(f"{'rank':>4}  {'bin':>5}  {'period':>6}  {'amplitude':>12}")
     for rank, (bin_index, amplitude) in enumerate(profile.top_bins(5), start=1):
-        approx = -(-series.length // bin_index)
-        print(f"{rank:>4}  {bin_index:>5}  {approx:>6}  {amplitude:>12.6f}")
+        period = bin_period(series.length, bin_index)
+        print(f"{rank:>4}  {bin_index:>5}  {period:>6}  {amplitude:>12.6f}")
     if args.spectrum:
         with open(args.spectrum, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -367,9 +368,6 @@ def cmd_score(args, file_cfg) -> int:
     return 0
 
 
-_SKIP_TO_VARIANT = {"static-graph": "static_graph", "no-temporal": "no_temporal"}
-
-
 def cmd_ablate(args, file_cfg) -> int:
     train_series = ingest_csv(args.train_data)
     test_series = ingest_csv(args.test_data)
@@ -385,17 +383,16 @@ def cmd_ablate(args, file_cfg) -> int:
         log.warning("period detection hit the aperiodic fallback; "
                     "phase slots will span the whole series")
 
-    skipped = {_SKIP_TO_VARIANT[s] for s in (args.skip or [])}
+    skipped = {_FLAG_TO_VARIANT[s] for s in (args.skip or [])}
     variants = tuple(v for v in ABLATION_VARIANTS if v not in skipped)
     table = ablation_f1s(
         train_series, test_series, config,
         seeds=_seeds(args), variants=variants, workers=threads, **settings,
     )
 
-    label = {"full": "full", "static_graph": "static-graph", "no_temporal": "no-temporal"}
     print(f"{'variant':<14}  {'F1':>8}")
     for variant in variants:
-        print(f"{label[variant]:<14}  {table[variant]['mean_f1']:>8.4f}")
+        print(f"{variant.replace('_', '-'):<14}  {table[variant]['mean_f1']:>8.4f}")
     _write_json(args.out, {"seeds": list(_seeds(args)), "variants": table})
     print(f"\nreport written to {args.out}")
     return 0
@@ -483,7 +480,7 @@ def _add_train_flags(parser: argparse.ArgumentParser, exclude: tuple[str, ...] =
     add("--dilation", type=int)
     add("--tcn-layers", dest="tcn_layers", type=int)
     add("--val-fraction", dest="val_fraction", type=float)
-    add("--ablate", choices=("static-graph", "no-temporal"),
+    add("--ablate", choices=list(_FLAG_TO_VARIANT),
         help="train an ablated variant")
 
 
@@ -557,7 +554,7 @@ def build_parser() -> _Parser:
     p.add_argument("train_data", help="training CSV")
     p.add_argument("test_data", help="labeled test CSV")
     p.add_argument("--seeds", default="0", help="comma list of seeds")
-    p.add_argument("--skip", action="append", choices=sorted(_SKIP_TO_VARIANT),
+    p.add_argument("--skip", action="append", choices=sorted(_FLAG_TO_VARIANT),
                    help="drop a variant from the table")
     p.add_argument("--out", default="ablation.json")
     _add_train_flags(p, exclude=("--ablate",))

@@ -80,9 +80,9 @@ class SeriesMatrix:
         return SeriesMatrix(self.values[:, start:stop], self.sensor_names, labels)
 
 
-def ingest_csv(path, label_column: str = LABEL_COLUMN) -> SeriesMatrix:
-    """Read a series CSV; the column named `label_column`, when present,
-    is taken as the label vector.
+def ingest_csv(path) -> SeriesMatrix:
+    """Read a series CSV; the ``label`` column, when present, is taken as
+    the label vector.
 
     Rows containing NaN/Inf are dropped (counted in a warning). A cell
     that does not parse as a number is a hard error naming its row and
@@ -98,7 +98,7 @@ def ingest_csv(path, label_column: str = LABEL_COLUMN) -> SeriesMatrix:
         except StopIteration:
             raise DataError(f"{path} is empty") from None
         header = [name.strip() for name in header]
-        label_idx = header.index(label_column) if label_column in header else None
+        label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
         sensor_names = [n for i, n in enumerate(header) if i != label_idx]
 
         rows: list[list[float]] = []
@@ -167,7 +167,7 @@ class NormalizationStats:
 
     ``shift``/``scale`` are the per-sensor offset and span: min and
     (max - min) for minmax, mean and population std for zscore. A zero
-    scale (constant sensor) maps to 0 and inverts back to the constant.
+    scale (constant sensor) maps to 0.
     """
 
     mode: str
@@ -181,10 +181,6 @@ class NormalizationStats:
         out = out / safe[:, None]
         out[self.scale == 0, :] = 0.0
         return out
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        return values * self.scale[:, None] + self.shift[:, None]
 
 
 def fit_normalizer(train: SeriesMatrix, mode: str = "minmax") -> NormalizationStats:
@@ -204,7 +200,11 @@ def fit_normalizer(train: SeriesMatrix, mode: str = "minmax") -> NormalizationSt
 
 @dataclass
 class WindowBatch:
-    """Sliding windows paired with the value at the following timestamp."""
+    """Sliding windows paired with the value at the following timestamp.
+
+    `windows` is a read-only strided view of the series values and
+    `targets` a view of them too; neither is a copy.
+    """
 
     windows: np.ndarray              # (B, N, w)
     targets: np.ndarray              # (B, N)
@@ -223,14 +223,12 @@ def make_windows(series: SeriesMatrix, window: int, stride: int = 1) -> WindowBa
         raise DataError(
             f"window {window} leaves no target in a series of length {series.length}"
         )
-    n_windows = (series.length - window - 1) // stride + 1
-    starts = np.arange(n_windows) * stride
-    gather = starts[:, None] + np.arange(window)[None, :]
-    windows = series.values[:, gather].transpose(1, 0, 2)
-    targets = series.values[:, starts + window].T
-    return WindowBatch(
-        np.ascontiguousarray(windows), np.ascontiguousarray(targets), starts
-    )
+    values = series.values
+    # the last view starts at T - window and has no target, so it is cut
+    windows = np.lib.stride_tricks.sliding_window_view(values, window, axis=1)[:, :-1:stride]
+    targets = values[:, window::stride].T
+    starts = np.arange(targets.shape[0]) * stride
+    return WindowBatch(windows.transpose(1, 0, 2), targets, starts)
 
 
 def _find_event_start(rng, soft_blocked, hard_blocked, length, lo):

@@ -20,7 +20,6 @@ from .training import TrainConfig, pool_map, train
 log = logging.getLogger(__name__)
 
 ABLATION_VARIANTS = ("full", "static_graph", "no_temporal")
-SWEEP_AXES = ("neighbors", "filters")
 NEIGHBOR_SWEEP_DEFAULT = (10, 15, 20, 25, 30, 35, 40)
 FILTER_SWEEP_DEFAULT = (4, 8, 16, 32, 64, 128)
 

@@ -181,19 +181,16 @@ def attention_coefficients(embedding, adjacency, att_w, att_a, slope: float = 0.
     return {"v": v, "raw": raw, "logits": logits, "mask": mask, "alpha": alpha}
 
 
-def spatial_aggregate(x_proj, alpha, att_w, rows=None) -> dict:
+def spatial_aggregate(x_proj, alphas, att_w, rows) -> dict:
     """h_i = ReLU(sum_j alpha[i, j] * W x'_j), the self term included in alpha.
 
-    `alpha` mixes every row of `x_proj` (..., N, d). With `rows`, `alpha`
-    is a list instead, one entry per phase slot, and alpha[g] mixes only
-    the batch rows rows[g] of a (B, N, d) input. Returns `h_s` with the
-    projected features `wx` and the ReLU mask.
+    `alphas` holds one (N, N) alpha per phase slot, and alphas[g] mixes
+    only the batch rows rows[g] of the (B, N, d) input `x_proj`. Returns
+    `h_s` with the projected features `wx` and the ReLU mask.
     """
     wx = _rowwise(x_proj, att_w)
-    if rows is None:
-        alpha, rows = [alpha], [Ellipsis]
     pre_s = np.empty_like(wx)
-    for idx, slot_alpha in zip(rows, alpha):
+    for idx, slot_alpha in zip(rows, alphas):
         pre_s[idx] = _ordered_mix(slot_alpha, wx[idx])
     s_mask = pre_s > 0
     np.maximum(pre_s, 0.0, out=pre_s)  # ReLU in place
@@ -407,12 +404,12 @@ class Model:
         values.update(fuse_and_predict(values["h_s"], h_t, params, cfg.ln_eps))
         return values["pred"], ForwardTrace(values, groups)
 
-    def predict(self, windows, slot_ids, adjacencies, params, chunk_size: int = PREDICT_CHUNK):
-        """Forward without keeping traces; chunked to bound memory."""
+    def predict(self, windows, slot_ids, adjacencies, params):
+        """Forward without keeping traces, PREDICT_CHUNK windows at a time."""
         windows = np.asarray(windows, dtype=np.float64)
         out = np.empty((windows.shape[0], self.config.n_sensors))
-        for lo in range(0, windows.shape[0], chunk_size):
-            hi = lo + chunk_size
+        for lo in range(0, windows.shape[0], PREDICT_CHUNK):
+            hi = lo + PREDICT_CHUNK
             preds, _ = self.forward(windows[lo:hi], slot_ids[lo:hi], adjacencies, params)
             out[lo:hi] = preds
         return out

@@ -32,9 +32,9 @@ class PeriodProfile:
         return [(int(i) + 1, float(self.amplitudes[i])) for i in order]
 
 
-def amplitude_spectrum(series: SeriesMatrix) -> np.ndarray:
-    """Per-sensor DFT magnitudes for bins 1..floor(T/2), averaged over sensors."""
-    return detect_period(series).amplitudes
+def bin_period(length: int, freq: int) -> int:
+    """Period of frequency bin `freq` in a length-`length` series: ceil(T / f)."""
+    return -(-length // freq)
 
 
 def detect_period(series: SeriesMatrix) -> PeriodProfile:
@@ -42,7 +42,7 @@ def detect_period(series: SeriesMatrix) -> PeriodProfile:
 
     Averages the per-sensor DFT magnitudes of bins 1..floor(T/2) over the
     sensors, picks the strongest bin f (ties go to the lower bin, i.e. the
-    longer period) and sets period = ceil(T / f). A flat spectrum falls
+    longer period) and sets period = `bin_period(T, f)`. A flat spectrum falls
     back to period = T with f = 1 as a sentinel and the aperiodic flag set.
     """
     length = series.length
@@ -52,4 +52,4 @@ def detect_period(series: SeriesMatrix) -> PeriodProfile:
     if amps.max() <= APERIODIC_EPS:
         return PeriodProfile(amps, 1, length, True)
     freq = int(amps.argmax()) + 1
-    return PeriodProfile(amps, freq, (length + freq - 1) // freq)
+    return PeriodProfile(amps, freq, bin_period(length, freq))

@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint
 from .data import SeriesMatrix, make_windows
 from .errors import ConfigError, DataError
 from .model import Model
-from .training import build_adjacencies, slot_ids_for_windows
+from .training import MIN_VAL_WINDOWS, build_adjacencies, slot_ids_for_windows
 
 IQR_EPS = 1e-6
 
@@ -38,10 +38,9 @@ class ScoreCalibration:
         errors = np.asarray(errors, dtype=np.float64)
         if errors.ndim != 2:
             raise DataError(f"calibration errors must be 2-D, got shape {errors.shape}")
-        if errors.shape[0] < 4:
-            raise DataError(
-                f"need at least 4 validation windows to calibrate, got {errors.shape[0]}"
-            )
+        if errors.shape[0] < MIN_VAL_WINDOWS:
+            raise DataError(f"need at least {MIN_VAL_WINDOWS} validation windows "
+                            f"to calibrate, got {errors.shape[0]}")
         q25, q50, q75 = np.quantile(errors, [0.25, 0.5, 0.75], axis=0)
         return cls(median=q50, iqr=q75 - q25)
 

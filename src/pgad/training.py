@@ -29,6 +29,10 @@ log = logging.getLogger(__name__)
 
 LR_GRID = (0.01, 0.005, 0.0025, 0.00125)
 
+# The validation split keeps at least this many windows, the fewest whose
+# errors can calibrate anomaly scores (`scoring.ScoreCalibration`).
+MIN_VAL_WINDOWS = 4
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -53,7 +57,6 @@ class TrainConfig:
     tcn_layers: int = 1
     use_temporal: bool = True
     val_fraction: float = 0.1
-    min_val_windows: int = 4
 
     def validate(self) -> None:
         if self.window < 2:
@@ -80,8 +83,6 @@ class TrainConfig:
             raise ValueError("grad_clip must be >= 0")
         if not 0 < self.val_fraction <= 0.5:
             raise ValueError("val_fraction must lie in (0, 0.5]")
-        if self.min_val_windows < 1:
-            raise ValueError("min_val_windows must be >= 1")
         self.model_config(max(2, self.neighbors + 1)).validate()
 
     def model_config(self, n_sensors: int) -> ModelConfig:
@@ -230,7 +231,7 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
 
     batch = make_windows(normalized, config.window, config.stride)
     n_windows = batch.windows.shape[0]
-    n_val = max(config.min_val_windows, round(config.val_fraction * n_windows))
+    n_val = max(MIN_VAL_WINDOWS, round(config.val_fraction * n_windows))
     if n_val >= n_windows:
         raise DataError(
             f"only {n_windows} windows available, need more than {n_val} "

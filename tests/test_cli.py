@@ -1,14 +1,17 @@
 """End-to-end CLI behavior: artifacts, config precedence, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import pgad
 from pgad import cli
 from pgad.checkpoint import load_checkpoint
 from pgad.data import write_csv
+from pgad.training import MIN_VAL_WINDOWS, TrainConfig
 
 from conftest import TINY_SYNTH, TINY_TRAIN
 from helpers import series_of, strip_digests
@@ -24,6 +27,11 @@ def without_flag(flags, name):
     flags = list(flags)
     i = flags.index(name)
     return flags[:i] + flags[i + 2:]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in pgad.__all__ if not hasattr(pgad, name)]
+    assert not missing
 
 
 class TestSynth:
@@ -481,6 +489,41 @@ class TestConfigCommand:
             "--config", str(cfg), "--checkpoint", str(tmp_path / "m.npz"),
         ]) == 1
         assert not (tmp_path / "m.npz").exists()
+
+    def test_removed_min_val_windows_key_exits_one(self, cli_workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_val_windows": 2}))
+        assert cli.main(["config", "show", "--config", str(cfg)]) == 1
+        assert cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN,
+            "--config", str(cfg), "--checkpoint", str(tmp_path / "m.npz"),
+        ]) == 1
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_short_series_checkpoint_scores(self, tmp_path):
+        # 48 training rows leave 32 windows, whose 10% split is 3: the split
+        # must still keep the windows score calibration needs
+        synth = ["--sensors", "4", "--length", "96", "--period", "12", "--seed", "3"]
+        assert cli.main(["synth", *synth, "--out-dir", str(tmp_path)]) == 0
+        assert cli.main([
+            "train", str(tmp_path / "train.csv"), *TINY_TRAIN,
+            "--checkpoint", str(tmp_path / "m.npz"),
+            "--report", str(tmp_path / "r.json"),
+            "--loss-curve", str(tmp_path / "c.csv"),
+        ]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())["train"]
+        assert report["n_val"] >= MIN_VAL_WINDOWS
+        assert cli.main([
+            "score", str(tmp_path / "m.npz"), str(tmp_path / "test.csv"),
+            "--scores", str(tmp_path / "s.csv"), "--metrics", str(tmp_path / "m.json"),
+        ]) == 0
+
+    def test_schema_is_train_config_plus_command_keys(self):
+        command_keys = {"ma_window", "threshold", "point_adjust", "sensors", "length",
+                        "period", "anomaly_rate", "threads"}
+        fields = {field.name for field in dataclasses.fields(TrainConfig)}
+        assert not fields & command_keys
+        assert set(cli.CONFIG_SCHEMA) == fields | command_keys
 
     def test_unknown_action_exits_one(self):
         assert cli.main(["config", "explain"]) == 1

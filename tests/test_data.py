@@ -79,14 +79,6 @@ class TestNormalization:
         np.testing.assert_allclose(scaled.mean(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(scaled.std(axis=1), 1.0, atol=1e-10)
 
-    def test_invert_is_exact_inverse(self):
-        rng = np.random.default_rng(3)
-        series = series_of(rng.normal(size=(2, 30)))
-        for mode in ("minmax", "zscore"):
-            stats = fit_normalizer(series, mode=mode)
-            round_trip = stats.invert(stats.apply(series.values))
-            np.testing.assert_allclose(round_trip, series.values, atol=1e-12)
-
     def test_constant_sensor_guarded(self):
         series = series_of(np.vstack([np.full(20, 7.0), np.arange(20.0)]))
         stats = fit_normalizer(series, mode="minmax")
@@ -117,6 +109,19 @@ class TestWindows:
         np.testing.assert_array_equal(
             batch.window_start_indices, np.arange(0, 26, 3)
         )
+
+    def test_strided_windows_are_read_only_views(self):
+        series = series_of(np.arange(2 * 30.0).reshape(2, 30))
+        batch = make_windows(series, window=4, stride=3)
+        assert batch.n_windows == 9
+        for i, start in enumerate(batch.window_start_indices):
+            np.testing.assert_array_equal(
+                batch.windows[i], series.values[:, start:start + 4]
+            )
+            np.testing.assert_array_equal(batch.targets[i], series.values[:, start + 4])
+        assert np.shares_memory(batch.windows, series.values)
+        assert np.shares_memory(batch.targets, series.values)
+        assert not batch.windows.flags.writeable
 
     def test_no_window_crosses_the_end(self):
         series = series_of(np.arange(16.0).reshape(1, 16))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pgad import model as model_module
 from pgad.graph import cosine_similarity, topk_adjacency
 from pgad.model import (
     Model,
@@ -120,6 +121,11 @@ class TestAttention:
             np.testing.assert_array_equal(alpha[outside], 0.0)
 
 
+def aggregate_one_window(x, alpha, w):
+    """`spatial_aggregate` of one (N, d) window, alone in its phase slot."""
+    return spatial_aggregate(x[None], [alpha], w, [np.arange(1)])["h_s"][0]
+
+
 class TestGraphAttentionForward:
     def test_isolated_node_is_relu_of_projection(self):
         rng = np.random.default_rng(4)
@@ -127,7 +133,7 @@ class TestGraphAttentionForward:
         w = rng.normal(size=(2, 3))
         alpha = np.array([[1.0]])
         np.testing.assert_allclose(
-            spatial_aggregate(x, alpha, w)["h_s"],
+            aggregate_one_window(x, alpha, w),
             np.maximum(x @ w.T, 0.0),
             atol=1e-12,
         )
@@ -137,13 +143,13 @@ class TestGraphAttentionForward:
         x = np.tile(rng.normal(size=3), (4, 1))
         w = rng.normal(size=(3, 3))
         alpha = np.full((4, 4), 0.25)
-        out = spatial_aggregate(x, alpha, w)["h_s"]
+        out = aggregate_one_window(x, alpha, w)
         np.testing.assert_allclose(out, np.tile(out[0], (4, 1)), atol=1e-12)
 
     def test_two_node_hand_mix(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         alpha = np.array([[0.25, 0.75], [0.5, 0.5]])
-        out = spatial_aggregate(x, alpha, np.eye(2))["h_s"]
+        out = aggregate_one_window(x, alpha, np.eye(2))
         np.testing.assert_allclose(out[0], [0.25, 0.75], atol=1e-12)
 
     def test_output_nonnegative(self):
@@ -151,7 +157,7 @@ class TestGraphAttentionForward:
         x = rng.normal(size=(5, 4))
         w = rng.normal(size=(3, 4))
         alpha = np.full((5, 5), 0.2)
-        assert spatial_aggregate(x, alpha, w)["h_s"].min() >= 0.0
+        assert aggregate_one_window(x, alpha, w).min() >= 0.0
 
 
 class TestDilatedConv:
@@ -327,13 +333,14 @@ class TestModelForward:
             )
             np.testing.assert_array_equal(single[0], batched[i])
 
-    def test_predict_chunking_matches_forward(self):
+    def test_predict_chunking_matches_forward(self, monkeypatch):
         config = tiny_model_config()
         model, params, windows, slot_ids, adjacencies, _ = random_instance(
             18, config, batch=9
         )
         full, _ = model.forward(windows, slot_ids, adjacencies, params)
-        chunked = model.predict(windows, slot_ids, adjacencies, params, chunk_size=4)
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 4)
+        chunked = model.predict(windows, slot_ids, adjacencies, params)
         np.testing.assert_array_equal(full, chunked)
 
     def test_permutation_equivariance_exact(self):
