@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -159,14 +160,18 @@ def build_train_config(args, file_cfg: dict) -> TrainConfig:
 
 
 def parse_threshold(text: str) -> tuple[str, float | None]:
-    mode = str(text).replace("-", "_")
-    if mode in ("max_validation", "best_f1"):
+    mode, colon, value = str(text).partition(":")
+    mode = mode.replace("-", "_")
+    if mode in ("max_validation", "best_f1") and not colon:
         return mode, None
-    if mode.startswith("fixed:"):
+    if mode == "fixed" and colon:
         try:
-            return "fixed", float(mode.split(":", 1)[1])
+            fixed = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad fixed threshold in {text!r}") from exc
+        if not math.isfinite(fixed):
+            raise ConfigError(f"fixed threshold must be finite, got {text!r}")
+        return "fixed", fixed
     raise ConfigError(
         f"unknown threshold {text!r}; use max_validation, best_f1, or fixed:<value>"
     )
@@ -174,8 +179,11 @@ def parse_threshold(text: str) -> tuple[str, float | None]:
 
 def _score_settings(args, file_cfg) -> dict:
     mode, fixed = parse_threshold(_resolve(args, file_cfg, "threshold"))
+    ma_window = int(_resolve(args, file_cfg, "ma_window"))
+    if ma_window < 1:
+        raise ConfigError(f"ma_window must be >= 1, got {ma_window}")
     return {
-        "ma_window": int(_resolve(args, file_cfg, "ma_window")),
+        "ma_window": ma_window,
         "threshold_mode": mode,
         "fixed_value": fixed,
         "point_adjust": bool(_resolve(args, file_cfg, "point_adjust")),
@@ -288,6 +296,10 @@ def cmd_train(args, file_cfg) -> int:
                     raise ConfigError(f"bad --grid-lrs value {args.grid_lrs!r}") from exc
                 if not lrs:
                     raise ConfigError("--grid-lrs must name at least one rate")
+                if not all(0 < lr < math.inf for lr in lrs):
+                    raise ConfigError(
+                        f"--grid-lrs rates must be positive and finite, got {args.grid_lrs!r}"
+                    )
             else:
                 lrs = LR_GRID
             grid = grid_search(series, config, lrs, workers=threads)
@@ -317,9 +329,9 @@ def cmd_train(args, file_cfg) -> int:
 
 
 def cmd_score(args, file_cfg) -> int:
+    settings = _score_settings(args, file_cfg)
     ckpt = load_checkpoint(args.checkpoint)
     series = ingest_csv(args.data)
-    settings = _score_settings(args, file_cfg)
     trace, metrics = score_series(ckpt, series, **settings)
     names = ckpt.meta["sensor_names"]
     labels_true = trace.labels_true

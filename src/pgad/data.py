@@ -8,8 +8,9 @@ writes the same format.
 
 from __future__ import annotations
 
-import logging
 import csv
+import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,7 +121,7 @@ def ingest_csv(path) -> SeriesMatrix:
                         f"non-numeric value {cell.strip()!r} at row {r}, "
                         f"column {c} ({header[c - 1]!r})"
                     ) from None
-            if not all(np.isfinite(parsed)):
+            if not all(map(math.isfinite, parsed)):
                 dropped += 1
                 continue
             if label_idx is not None:

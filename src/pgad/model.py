@@ -9,10 +9,12 @@ two features are concatenated, layer-normalized, and mapped through a
 two-layer MLP to one next-step prediction per sensor.
 
 Adjacency patterns are treated as constants: gradients flow into the
-embeddings only through the attention logits. Node-axis reductions sum
-their terms in value-sorted order and row-wise products run as one BLAS
-matmul over all rows, which makes predictions bit-identical under any
-simultaneous permutation of the sensors.
+embeddings only through the attention logits. The softmax denominator
+sums its terms in value-sorted order, the neighbour mix adds each row's
+terms in ascending attention-weight order (value-sorted for a row whose
+weights tie), and row-wise products run as one BLAS matmul over all
+rows, which makes predictions bit-identical under any simultaneous
+permutation of the sensors.
 """
 
 from __future__ import annotations
@@ -91,33 +93,41 @@ def _sorted_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.sort(x, axis=axis).sum(axis=axis)
 
 
-def _ordered_mix(alpha: np.ndarray, features: np.ndarray) -> np.ndarray:
+def _alpha_order_mix(alpha: np.ndarray, features: np.ndarray) -> np.ndarray:
     """out[..., i, f] = sum_j alpha[i, j] * features[..., j, f].
 
-    Each output sums the value-sorted terms of row i's live (non-zero)
-    weights only, padded to the longest row's count m with zero-weight
-    copies of the node's own term. Every output's term multiset and m are
-    invariant under a sensor permutation, so the result is too. When every
-    row is full, the dense path skips the gather.
+    Row i adds its live (non-zero) terms in ascending alpha order, padded
+    to the longest row's count m with zero-weight copies of the node's own
+    term: m multiply-adds of (..., N, F) slices. alpha is exactly
+    equivariant under a sensor permutation, so the order, and with it
+    every output bit, moves with the sensors. A row whose live weights
+    tie exactly would fall back on column order; it sums its value-sorted
+    terms instead. Whether a row ties depends on its own weights alone,
+    so that rule is permutation-invariant too.
     """
-    n = alpha.shape[-1]
     live = alpha != 0
     counts = live.sum(axis=-1)
     m = int(counts.max())
-    feat_t = np.swapaxes(features, -1, -2)
-    if m == n:
-        terms = alpha[:, None, :] * feat_t[..., None, :, :]  # (..., N, F, N)
-    else:
-        # live columns first, in index order; pads point back at the node itself
-        cols = np.argsort(~live, axis=-1, kind="stable")[:, :m]
-        pad = np.arange(m) >= counts[:, None]
-        cols[pad] = np.nonzero(pad)[0]
-        weights = np.where(pad, 0.0, np.take_along_axis(alpha, cols, axis=-1))
-        terms = feat_t[..., cols]  # (..., F, N, m)
-        terms *= weights
+    # live columns first, by weight (a NaN weight stays live); pads point
+    # back at the node itself
+    cols = np.lexsort((alpha, ~live))[:, :m]
+    pad = np.arange(m) >= counts[:, None]
+    cols[pad] = np.nonzero(pad)[0]
+    weights = np.where(pad, 0.0, np.take_along_axis(alpha, cols, axis=-1))
+    out = features[..., cols[:, 0], :]
+    out *= weights[:, 0, None]
+    for s in range(1, m):
+        term = features[..., cols[:, s], :]
+        term *= weights[:, s, None]
+        out += term
+    tied = np.flatnonzero(((weights[:, 1:] == weights[:, :-1]) & ~pad[:, 1:]).any(axis=-1))
+    if tied.size:
+        terms = np.swapaxes(features, -1, -2)[..., cols[tied]]  # (..., F, T, m)
+        terms *= weights[tied]
         terms = np.swapaxes(terms, -2, -3)
-    terms.sort(axis=-1)
-    return terms.sum(axis=-1)
+        terms.sort(axis=-1)
+        out[..., tied, :] = terms.sum(axis=-1)
+    return out
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -191,7 +201,7 @@ def spatial_aggregate(x_proj, alphas, att_w, rows) -> dict:
     wx = _rowwise(x_proj, att_w)
     pre_s = np.empty_like(wx)
     for idx, slot_alpha in zip(rows, alphas):
-        pre_s[idx] = _ordered_mix(slot_alpha, wx[idx])
+        pre_s[idx] = _alpha_order_mix(slot_alpha, wx[idx])
     s_mask = pre_s > 0
     np.maximum(pre_s, 0.0, out=pre_s)  # ReLU in place
     return {"wx": wx, "s_mask": s_mask, "h_s": pre_s}

@@ -75,6 +75,31 @@ def einsum_conv_stack(window, filter_layers, dilation: int = 1) -> dict:
     return {"conv": layers, "t_flat": x.reshape(x.shape[:-2] + (-1,))}
 
 
+def value_sorted_mix(alpha, features) -> np.ndarray:
+    """out[..., i, f] = sum_j alpha[i, j] * features[..., j, f] as the
+    value-sorted sum of row i's live (non-zero) terms, padded to the longest
+    row's count m with zero-weight copies of the node's own term. When every
+    row is full, the dense path skips the gather."""
+    n = alpha.shape[-1]
+    live = alpha != 0
+    counts = live.sum(axis=-1)
+    m = int(counts.max())
+    feat_t = np.swapaxes(features, -1, -2)
+    if m == n:
+        terms = alpha[:, None, :] * feat_t[..., None, :, :]  # (..., N, F, N)
+    else:
+        # live columns first, in index order; pads point back at the node itself
+        cols = np.argsort(~live, axis=-1, kind="stable")[:, :m]
+        pad = np.arange(m) >= counts[:, None]
+        cols[pad] = np.nonzero(pad)[0]
+        weights = np.where(pad, 0.0, np.take_along_axis(alpha, cols, axis=-1))
+        terms = feat_t[..., cols]  # (..., F, N, m)
+        terms *= weights
+        terms = np.swapaxes(terms, -2, -3)
+    terms.sort(axis=-1)
+    return terms.sum(axis=-1)
+
+
 def dense_ordered_mix(alpha, features) -> np.ndarray:
     """Neighbour mix over all N columns: out[..., i, f] is the value-sorted
     sum over j of alpha[i, j] * features[..., j, f], zero weights included."""

@@ -11,6 +11,7 @@ import pgad
 from pgad import cli
 from pgad.checkpoint import load_checkpoint
 from pgad.data import write_csv
+from pgad.errors import ConfigError
 from pgad.training import MIN_VAL_WINDOWS, TrainConfig
 
 from conftest import TINY_SYNTH, TINY_TRAIN
@@ -156,6 +157,18 @@ class TestTrain:
         assert len(report["grid"]) == 2
         assert {e["lr"] for e in report["grid"]} == {0.005, 0.0025}
 
+    @pytest.mark.parametrize("rates", ["0.01,-1", "0", "0.01,nan"])
+    def test_grid_non_positive_rate_exits_one(self, cli_workspace, tmp_path, rates):
+        code = cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN,
+            "--grid", "--grid-lrs", rates,
+            "--checkpoint", str(tmp_path / "m.npz"),
+            "--report", str(tmp_path / "r.json"),
+            "--loss-curve", str(tmp_path / "c.csv"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_three_with_partial_report(self, cli_workspace, tmp_path):
         report_path = tmp_path / "r.json"
@@ -248,6 +261,36 @@ class TestScore:
             "--scores", str(tmp_path / "s.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_fixed_threshold_exits_one(self, cli_workspace, tmp_path, capsys,
+                                                  value):
+        metrics = tmp_path / "m.json"
+        code = cli.main([
+            "score", str(cli_workspace / "checkpoint.npz"),
+            str(cli_workspace / "test.csv"),
+            "--threshold", f"fixed:{value}",
+            "--scores", str(tmp_path / "s.csv"), "--metrics", str(metrics),
+        ])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not metrics.exists()
+
+    def test_fixed_threshold_keeps_sign_and_exponent(self):
+        assert cli.parse_threshold("fixed:-0.5") == ("fixed", -0.5)
+        assert cli.parse_threshold("fixed:1e-3") == ("fixed", 0.001)
+        assert cli.parse_threshold("best-f1") == ("best_f1", None)
+        for text in ("fixed", "best-f1:0.5", "fixed:1_e3"):
+            with pytest.raises(ConfigError):
+                cli.parse_threshold(text)
+
+    def test_ma_window_below_one_exits_one_before_loading(self, tmp_path):
+        # the checkpoint does not exist: the setting is checked first
+        missing = [str(tmp_path / "none.npz"), str(tmp_path / "none.csv")]
+        assert cli.main(["score", *missing, "--ma-window", "0"]) == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ma_window": -2}))
+        assert cli.main(["score", *missing, "--config", str(cfg)]) == 1
 
     def test_missing_checkpoint_exits_two(self, cli_workspace, tmp_path):
         code = cli.main([
@@ -384,6 +427,19 @@ class TestAblateCommand:
         ]) == 0
         payload = json.loads(out.read_text())
         assert set(payload["variants"]) == {"full", "static_graph"}
+
+    def test_ma_window_below_one_exits_one_before_training(self, cli_workspace, tmp_path,
+                                                           monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablation trained before checking its settings")
+
+        monkeypatch.setattr(cli, "ablation_f1s", no_training)
+        code = cli.main([
+            "ablate", str(cli_workspace / "train.csv"),
+            str(cli_workspace / "test.csv"), *TINY_TRAIN,
+            "--ma-window", "0", "--out", str(tmp_path / "a.json"),
+        ])
+        assert code == 1
 
     def test_unlabeled_test_exits_one(self, cli_workspace, tmp_path):
         code = cli.main([

@@ -62,6 +62,22 @@ class TestCsvRoundTrip:
         assert any("row" in rec.message for rec in caplog.records)
 
 
+    def test_inf_row_and_nan_label_dropped_and_counted(self, tmp_path, caplog):
+        path = tmp_path / "gaps.csv"
+        path.write_text("a,label,b\n1.0,0,2.0\ninf,0,3.0\n4.0,nan,5.0\n"
+                        "6.0,1,-inf\n7.0,1,8.0\n")
+        with caplog.at_level("WARNING"):
+            series = ingest_csv(path)
+        np.testing.assert_array_equal(series.values, [[1.0, 7.0], [2.0, 8.0]])
+        np.testing.assert_array_equal(series.labels, [0, 1])
+        assert any("dropped 3 rows" in rec.message for rec in caplog.records)
+
+    def test_errors_after_dropped_rows_keep_their_order(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,label\n1.0,0\nnan,2\n2.0,oops\n3.0,2\n")
+        with pytest.raises(DataError, match="row 3, column 2"):
+            ingest_csv(path)
+
 class TestNormalization:
     def test_minmax_maps_to_unit_interval(self):
         rng = np.random.default_rng(1)

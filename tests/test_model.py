@@ -14,14 +14,14 @@ from pgad.graph import cosine_similarity, topk_adjacency
 from pgad.model import (
     Model,
     ModelConfig,
-    _ordered_mix,
+    _alpha_order_mix,
     attention_coefficients,
     conv_stack,
     fuse_and_predict,
     project_input,
     spatial_aggregate,
 )
-from pgad.training import l2_loss
+from pgad.training import build_adjacencies, l2_loss
 
 from helpers import (
     dense_ordered_mix,
@@ -30,6 +30,7 @@ from helpers import (
     permutation_mismatches,
     random_instance,
     tiny_model_config,
+    value_sorted_mix,
 )
 
 
@@ -416,7 +417,8 @@ class TestSlotGrouping:
 
 
 class TestNeighbourMix:
-    """The gathered mix against the dense all-columns oracle."""
+    """The alpha-order mix against the value-sorted oracle, and that oracle
+    against the dense all-columns one."""
 
     def mix_instance(self, seed, n, k, batch=5, width=7):
         rng = np.random.default_rng(seed)
@@ -429,14 +431,14 @@ class TestNeighbourMix:
         for seed, n in enumerate((2, 8, 13)):
             alpha, features = self.mix_instance(seed, n, n - 1)
             np.testing.assert_array_equal(
-                _ordered_mix(alpha, features), dense_ordered_mix(alpha, features)
+                value_sorted_mix(alpha, features), dense_ordered_mix(alpha, features)
             )
 
     def test_partial_rows_match_oracle(self):
         for seed, (n, k) in enumerate([(3, 1), (8, 2), (20, 6), (51, 17), (51, 1)]):
             alpha, features = self.mix_instance(100 + seed, n, k)
             assert (alpha == 0).any()
-            out = _ordered_mix(alpha, features)
+            out = value_sorted_mix(alpha, features)
             scale = np.einsum("ij,bjf->bif", np.abs(alpha), np.abs(features))
             assert (np.abs(out - dense_ordered_mix(alpha, features)) <= 1e-12 * scale).all()
 
@@ -446,8 +448,75 @@ class TestNeighbourMix:
         alpha[0, 0] = 0.7
         alpha[1:, 1:] = rng.dirichlet(np.ones(3), size=3)
         features = rng.normal(size=(3, 4, 5))
-        out = _ordered_mix(alpha, features)
+        out = _alpha_order_mix(alpha, features)
         np.testing.assert_array_equal(out[:, 0], 0.7 * features[:, 0])
+
+    def test_nan_weights_reach_the_output(self):
+        alpha, features = self.mix_instance(9, 8, 2)
+        alpha[3, alpha[3] != 0] = np.nan
+        out = _alpha_order_mix(alpha, features)
+        assert np.isnan(out[:, 3]).all()
+        assert np.isfinite(np.delete(out, 3, axis=1)).all()
+
+    @staticmethod
+    def tied_rows(alpha):
+        """Rows whose non-zero weights hold an exact tie."""
+        return [i for i, row in enumerate(alpha)
+                if np.unique(row[row != 0]).size < np.count_nonzero(row)]
+
+    def test_alpha_order_matches_oracle_without_ties(self):
+        cases = [(2, 1), (8, 7), (13, 12), (3, 1), (8, 2), (20, 6), (51, 17), (51, 1)]
+        for seed, (n, k) in enumerate(cases):
+            alpha, features = self.mix_instance(200 + seed, n, k)
+            assert self.tied_rows(alpha) == []
+            out = _alpha_order_mix(alpha, features)
+            scale = np.einsum("ij,bjf->bif", np.abs(alpha), np.abs(features))
+            assert (np.abs(out - value_sorted_mix(alpha, features)) <= 1e-12 * scale).all()
+
+    @staticmethod
+    def duplicate_rows(emb):
+        """Copy row 0 onto row 1 and row 3 onto row 5: the copies' attention
+        logits, and so their weights in every row that holds both, tie."""
+        emb = emb.copy()
+        emb[1] = emb[0]
+        emb[5] = emb[3]
+        return emb
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (6, 5), (51, 1), (51, 50)])
+    def test_tied_rows_equal_oracle_bits(self, n, k):
+        rng = np.random.default_rng(n)
+        emb = self.duplicate_rows(rng.normal(size=(n, 6)))
+        adjacency = topk_adjacency(cosine_similarity(emb), k)
+        alpha = attention_coefficients(
+            emb, adjacency, rng.normal(size=(4, 6)), rng.normal(size=8)
+        )["alpha"]
+        tied = self.tied_rows(alpha)
+        assert {0, 1, 3, 5} <= set(tied)
+        features = rng.normal(size=(9, n, 7))
+        out = _alpha_order_mix(alpha, features)
+        np.testing.assert_array_equal(out[:, tied], value_sorted_mix(alpha, features)[:, tied])
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (6, 5), (51, 1), (51, 50)])
+    def test_forward_with_ties_is_permutation_exact(self, n, k):
+        slots = 2
+        config = tiny_model_config(
+            n_sensors=n, window=32, embed_dim=16, spatial_dim=16,
+            temporal_dim=8, hidden_dim=32, slots=slots,
+        )
+        model, params, windows, slot_ids, _, _ = random_instance(40 + n, config, batch=17)
+        for s in range(slots):
+            params[f"emb_{s}"] = self.duplicate_rows(params[f"emb_{s}"])
+        adjacencies = build_adjacencies(params, slots, k)
+        base, trace = model.forward(windows, slot_ids, adjacencies, params)
+        for group in trace.groups:
+            assert {0, 1, 3, 5} <= set(self.tied_rows(group["att"]["alpha"]))
+        perm = np.random.default_rng(n).permutation(n)
+        p_params = dict(params)
+        for s in range(slots):
+            p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
+        p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
+        p_out, _ = model.forward(windows[:, perm, :], slot_ids, p_adj, p_params)
+        np.testing.assert_array_equal(p_out, base[:, perm])
 
 
 class TestPermutationExactness:
