@@ -15,6 +15,14 @@ terms in ascending attention-weight order (value-sorted for a row whose
 weights tie), and row-wise products run as one BLAS matmul over all
 rows, which makes predictions bit-identical under any simultaneous
 permutation of the sensors.
+
+`Model.predict` scores the windows of a series in chunks of about
+PREDICT_ROWS rows. It takes each slot's attention coefficients and mix
+order once per call and runs the conv stack once over each chunk's span
+of the series, which overlapping windows share. With one conv layer its
+predictions equal `forward`'s on the same chunk bit for bit; with more,
+the deeper layers' matmul over a span may round the last bit differently
+from the same matmul per window.
 """
 
 from __future__ import annotations
@@ -93,17 +101,17 @@ def _sorted_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.sort(x, axis=axis).sum(axis=axis)
 
 
-def _alpha_order_mix(alpha: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """out[..., i, f] = sum_j alpha[i, j] * features[..., j, f].
+def mix_order(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order in which `_alpha_order_mix` adds each row's terms.
 
     Row i adds its live (non-zero) terms in ascending alpha order, padded
     to the longest row's count m with zero-weight copies of the node's own
-    term: m multiply-adds of (..., N, F) slices. alpha is exactly
-    equivariant under a sensor permutation, so the order, and with it
-    every output bit, moves with the sensors. A row whose live weights
-    tie exactly would fall back on column order; it sums its value-sorted
-    terms instead. Whether a row ties depends on its own weights alone,
-    so that rule is permutation-invariant too.
+    term. alpha is exactly equivariant under a sensor permutation, so the
+    order, and with it every output bit, moves with the sensors. A row
+    whose live weights tie exactly would fall back on column order; it
+    sums its value-sorted terms instead. Whether a row ties depends on its
+    own weights alone, so that rule is permutation-invariant too.
+    Returns the (N, m) columns and weights and the tied rows' indices.
     """
     live = alpha != 0
     counts = live.sum(axis=-1)
@@ -114,13 +122,20 @@ def _alpha_order_mix(alpha: np.ndarray, features: np.ndarray) -> np.ndarray:
     pad = np.arange(m) >= counts[:, None]
     cols[pad] = np.nonzero(pad)[0]
     weights = np.where(pad, 0.0, np.take_along_axis(alpha, cols, axis=-1))
+    tied = np.flatnonzero(((weights[:, 1:] == weights[:, :-1]) & ~pad[:, 1:]).any(axis=-1))
+    return cols, weights, tied
+
+
+def _alpha_order_mix(order, features: np.ndarray) -> np.ndarray:
+    """out[..., i, f] = sum_j alpha[i, j] * features[..., j, f], summed in
+    the `mix_order(alpha)` order: m multiply-adds of (..., N, F) slices."""
+    cols, weights, tied = order
     out = features[..., cols[:, 0], :]
     out *= weights[:, 0, None]
-    for s in range(1, m):
+    for s in range(1, cols.shape[1]):
         term = features[..., cols[:, s], :]
         term *= weights[:, s, None]
         out += term
-    tied = np.flatnonzero(((weights[:, 1:] == weights[:, :-1]) & ~pad[:, 1:]).any(axis=-1))
     if tied.size:
         terms = np.swapaxes(features, -1, -2)[..., cols[tied]]  # (..., F, T, m)
         terms *= weights[tied]
@@ -191,17 +206,17 @@ def attention_coefficients(embedding, adjacency, att_w, att_a, slope: float = 0.
     return {"v": v, "raw": raw, "logits": logits, "mask": mask, "alpha": alpha}
 
 
-def spatial_aggregate(x_proj, alphas, att_w, rows) -> dict:
+def spatial_aggregate(x_proj, orders, att_w, rows) -> dict:
     """h_i = ReLU(sum_j alpha[i, j] * W x'_j), the self term included in alpha.
 
-    `alphas` holds one (N, N) alpha per phase slot, and alphas[g] mixes
-    only the batch rows rows[g] of the (B, N, d) input `x_proj`. Returns
-    `h_s` with the projected features `wx` and the ReLU mask.
+    `orders` holds one `mix_order(alpha)` per phase slot, and orders[g]
+    mixes only the batch rows rows[g] of the (B, N, d) input `x_proj`.
+    Returns `h_s` with the projected features `wx` and the ReLU mask.
     """
     wx = _rowwise(x_proj, att_w)
     pre_s = np.empty_like(wx)
-    for idx, slot_alpha in zip(rows, alphas):
-        pre_s[idx] = _alpha_order_mix(slot_alpha, wx[idx])
+    for idx, order in zip(rows, orders):
+        pre_s[idx] = _alpha_order_mix(order, wx[idx])
     s_mask = pre_s > 0
     np.maximum(pre_s, 0.0, out=pre_s)  # ReLU in place
     return {"wx": wx, "s_mask": s_mask, "h_s": pre_s}
@@ -289,9 +304,27 @@ def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
 # ---------------------------------------------------------------------------
 # full model
 
-# Windows per forward in `Model.predict`. Every block's intermediates scale
-# with it; at N=51 a 256-window chunk's conv activations alone take ~150 MB.
-PREDICT_CHUNK = 64
+# Rows (windows x sensors) per chunk of `Model.predict`. Every block's
+# intermediates scale with the rows, so a chunk of max(1, PREDICT_ROWS // N)
+# windows keeps them about the same size at any N: 64 windows at N=8, 10 at
+# N=51.
+PREDICT_ROWS = 512
+
+
+def predict_chunks(starts: np.ndarray, n_sensors: int, window: int):
+    """(lo, hi) bounds of `Model.predict`'s chunks over ascending `starts`.
+
+    A chunk holds at most max(1, PREDICT_ROWS // n_sensors) windows, and
+    its span of the series at most that many windows' length, so windows
+    further apart than their length do not stretch the span conv.
+    """
+    per_chunk = max(1, PREDICT_ROWS // n_sensors)
+    lo = 0
+    while lo < len(starts):
+        reach = np.searchsorted(starts, starts[lo] + (per_chunk - 1) * window, side="right")
+        hi = min(lo + per_chunk, int(reach))
+        yield lo, hi
+        lo = hi
 
 
 @dataclass
@@ -374,6 +407,37 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
+    def _attention(self, slot: int, adjacencies, params) -> dict:
+        return attention_coefficients(
+            params[f"emb_{slot}"], adjacencies[slot], params["att_w"], params["att_a"],
+            self.config.leaky_slope,
+        )
+
+    def _filter_layers(self, params) -> list[dict]:
+        cfg = self.config
+        return [{c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}
+                for l in range(cfg.tcn_layers)]
+
+    def _spatial(self, windows, orders, rows, params) -> dict:
+        """Input projection of windows (B, N, w) and the neighbour mix of
+        the batch rows rows[g] in orders[g]."""
+        x_proj = project_input(windows, params["proj_w"], params["proj_b"])
+        values = {"window": windows, "x_proj": x_proj}
+        values.update(spatial_aggregate(x_proj, orders, params["att_w"], rows))
+        return values
+
+    def _fuse(self, values, conv, params) -> dict:
+        """Adds to `_spatial`'s `values` the conv features `conv` (None
+        without the temporal branch), their temporal reduction, LayerNorm
+        and the MLP. The conv runs after `_spatial`, not before: its
+        output would push the spatial inputs out of cache."""
+        h_t = None
+        if conv is not None:
+            values.update(conv)
+            h_t = project_input(conv["t_flat"], params["tred_w"], params["tred_b"])
+        values.update(fuse_and_predict(values["h_s"], h_t, params, self.config.ln_eps))
+        return values
+
     def forward(self, windows, slot_ids, adjacencies, params):
         """windows (B, N, w); slot_ids (B,); adjacencies: one per slot.
 
@@ -390,38 +454,70 @@ class Model:
                 f"windows shaped {windows.shape}, expected "
                 f"(B, {cfg.n_sensors}, {cfg.window})"
             )
-        groups = []
-        for slot in np.unique(slot_ids).tolist():
-            att = attention_coefficients(
-                params[f"emb_{slot}"], adjacencies[slot], params["att_w"], params["att_a"],
-                cfg.leaky_slope,
-            )
-            groups.append({"idx": np.flatnonzero(slot_ids == slot), "slot": slot, "att": att})
-        x_proj = project_input(windows, params["proj_w"], params["proj_b"])
-        values = {"window": windows, "x_proj": x_proj}
-        values.update(spatial_aggregate(
-            x_proj, [g["att"]["alpha"] for g in groups], params["att_w"],
-            [g["idx"] for g in groups],
-        ))
-        h_t = None
+        groups = [
+            {"idx": np.flatnonzero(slot_ids == slot), "slot": slot,
+             "att": self._attention(slot, adjacencies, params)}
+            for slot in np.unique(slot_ids).tolist()
+        ]
+        values = self._spatial(
+            windows, [mix_order(g["att"]["alpha"]) for g in groups],
+            [g["idx"] for g in groups], params,
+        )
+        conv = None
         if cfg.use_temporal:
-            filter_layers = [
-                {c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}
-                for l in range(cfg.tcn_layers)
-            ]
-            values.update(conv_stack(windows, filter_layers, cfg.dilation))
-            h_t = project_input(values["t_flat"], params["tred_w"], params["tred_b"])
-        values.update(fuse_and_predict(values["h_s"], h_t, params, cfg.ln_eps))
+            conv = conv_stack(windows, self._filter_layers(params), cfg.dilation)
+        values = self._fuse(values, conv, params)
         return values["pred"], ForwardTrace(values, groups)
 
-    def predict(self, windows, slot_ids, adjacencies, params):
-        """Forward without keeping traces, PREDICT_CHUNK windows at a time."""
-        windows = np.asarray(windows, dtype=np.float64)
-        out = np.empty((windows.shape[0], self.config.n_sensors))
-        for lo in range(0, windows.shape[0], PREDICT_CHUNK):
-            hi = lo + PREDICT_CHUNK
-            preds, _ = self.forward(windows[lo:hi], slot_ids[lo:hi], adjacencies, params)
-            out[lo:hi] = preds
+    def predict(self, starts, values, slot_ids, adjacencies, params):
+        """Predictions (len(starts), N) for the windows values[:, s : s + w]
+        of the (N, T) series `values`, one per ascending start s, kept
+        without traces.
+
+        Each slot's attention coefficients and mix order are taken once
+        per call. The windows run in `predict_chunks`: each chunk copies
+        its span of the series, runs the conv stack once over the span,
+        gathers every window's conv features from that one output, and
+        runs the other blocks over the chunk's windows as `forward` does.
+        """
+        cfg = self.config
+        w = cfg.window
+        values = np.asarray(values, dtype=np.float64)
+        starts = np.asarray(starts)
+        slot_ids = np.asarray(slot_ids)
+        if values.ndim != 2 or values.shape[0] != cfg.n_sensors:
+            raise ValueError(f"series shaped {values.shape}, expected ({cfg.n_sensors}, T)")
+        if starts.ndim != 1 or slot_ids.shape != starts.shape:
+            raise ValueError("need one slot id per window start")
+        if (np.diff(starts) < 0).any():
+            raise ValueError("window starts must ascend")
+        if starts.size and (starts[0] < 0 or starts[-1] + w > values.shape[1]):
+            raise ValueError("windows must lie within the series")
+        orders = {slot: mix_order(self._attention(slot, adjacencies, params)["alpha"])
+                  for slot in np.unique(slot_ids).tolist()}
+        filter_layers = self._filter_layers(params) if cfg.use_temporal else None
+        out = np.empty((starts.size, cfg.n_sensors))
+        for lo, hi in predict_chunks(starts, cfg.n_sensors, w):
+            span = np.ascontiguousarray(values[:, starts[lo] : starts[hi - 1] + w])
+            local = starts[lo:hi] - starts[lo]
+            windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1),
+                                  1, 0)[local]
+            chunk_slots = slot_ids[lo:hi]
+            present = np.unique(chunk_slots).tolist()
+            blocks = self._spatial(
+                windows, [orders[slot] for slot in present],
+                [np.flatnonzero(chunk_slots == slot) for slot in present], params,
+            )
+            conv = None
+            if cfg.use_temporal:
+                # conv output p of the span is output p - o of the window at offset o
+                feats = conv_stack(span, filter_layers, cfg.dilation)["t_flat"]
+                feats = feats.reshape(cfg.n_sensors, cfg.conv_channels_total(), -1)
+                per_window = np.lib.stride_tricks.sliding_window_view(
+                    feats, cfg.conv_out_len(), axis=-1)
+                t_flat = np.moveaxis(per_window, 2, 0)[local]
+                conv = {"t_flat": t_flat.reshape(hi - lo, cfg.n_sensors, -1)}
+            out[lo:hi] = self._fuse(blocks, conv, params)["pred"]
         return out
 
     # -- backward ----------------------------------------------------------

@@ -251,7 +251,9 @@ def score_series(
         checkpoint.params, config.slots, checkpoint.meta["neighbors"]
     )
     model = Model(config)
-    preds = model.predict(batch.windows, slots, adjacencies, checkpoint.params)
+    preds = model.predict(
+        batch.window_start_indices, normalized.values, slots, adjacencies, checkpoint.params
+    )
 
     errors = sensor_errors(preds, batch.targets)
     calibration = ScoreCalibration.from_errors(checkpoint.val_errors)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -75,12 +76,12 @@ class TrainConfig:
             raise ValueError("patience must not exceed epochs")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.grad_clip < 0:
-            raise ValueError("grad_clip must be >= 0")
+        if not 0 <= self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be finite and >= 0, got {self.grad_clip!r}")
         if not 0 < self.val_fraction <= 0.5:
             raise ValueError("val_fraction must lie in (0, 0.5]")
         self.model_config(max(2, self.neighbors + 1)).validate()
@@ -243,7 +244,8 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
     train_w = batch.windows[:n_train]
     train_t = batch.targets[:n_train]
     train_s = slots[:n_train]
-    val_w = batch.windows[n_train:]
+    train_starts = batch.window_start_indices[:n_train]
+    val_starts = batch.window_start_indices[n_train:]
     val_t = batch.targets[n_train:]
     val_s = slots[n_train:]
 
@@ -268,8 +270,8 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
         exc.report = report
         return exc
 
-    def _eval_loss(windows, targets, slot_ids, adjacencies) -> float:
-        preds = model.predict(windows, slot_ids, adjacencies, params)
+    def _eval_loss(starts, targets, slot_ids, adjacencies) -> float:
+        preds = model.predict(starts, normalized.values, slot_ids, adjacencies, params)
         diff = preds - targets
         return float(np.mean(diff * diff))
 
@@ -278,8 +280,8 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
     try:
         adjacencies = build_adjacencies(params, config.slots, k_eff)
         epoch_start = time.perf_counter()
-        train_loss = _eval_loss(train_w, train_t, train_s, adjacencies)
-        val_loss = _eval_loss(val_w, val_t, val_s, adjacencies)
+        train_loss = _eval_loss(train_starts, train_t, train_s, adjacencies)
+        val_loss = _eval_loss(val_starts, val_t, val_s, adjacencies)
         report.epochs.append({
             "epoch": 0, "train_loss": train_loss, "val_loss": val_loss,
             "seconds": time.perf_counter() - epoch_start,
@@ -304,7 +306,7 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
                 clip_gradients(grads, config.grad_clip)
                 adam_step(params, grads, state, config.lr)
             train_loss = loss_sum / n_train
-            val_loss = _eval_loss(val_w, val_t, val_s, adjacencies)
+            val_loss = _eval_loss(val_starts, val_t, val_s, adjacencies)
             if not np.isfinite(val_loss):
                 raise DivergenceError(f"validation loss became non-finite in epoch {epoch}")
             report.epochs.append({
@@ -328,7 +330,7 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
 
     params = best_params
     adjacencies = build_adjacencies(params, config.slots, k_eff)
-    val_preds = model.predict(val_w, val_s, adjacencies, params)
+    val_preds = model.predict(val_starts, normalized.values, val_s, adjacencies, params)
     val_errors = np.abs(val_preds - val_t)
 
     report.wall_clock_seconds = time.perf_counter() - started

@@ -186,6 +186,11 @@ def random_instance(seed: int, config: ModelConfig, batch: int = 3, k: int = 2):
     return model, params, windows, slot_ids, adjacencies, targets
 
 
+def series_windows(values, starts, window: int) -> np.ndarray:
+    """The (B, N, window) windows values[:, s : s + window], one per start."""
+    return np.stack([values[:, s : s + window] for s in starts])
+
+
 def permutation_mismatches(seed: int) -> list[tuple]:
     """Cases where `Model.forward` is not bit-equivariant under a sensor
     permutation, over N in {2, 6, 51}, k in {1, N // 3, N - 1}, batches of

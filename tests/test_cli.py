@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,30 @@ class TestTrain:
         assert code == 1
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("flag", ["--lr", "--grad-clip"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_or_clip_exits_one(self, cli_workspace, tmp_path, flag, value):
+        code = cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN, flag, value,
+            "--checkpoint", str(tmp_path / "m.npz"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("key", ["lr", "grad_clip"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "nan"],
+                             ids=["NaN", "Infinity", "string-nan"])
+    def test_non_finite_rate_or_clip_config_key_exits_one(self, cli_workspace, tmp_path,
+                                                           key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))  # NaN and Infinity literals
+        code = cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN,
+            "--config", str(cfg), "--checkpoint", str(tmp_path / "m.npz"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_three_with_partial_report(self, cli_workspace, tmp_path):
         report_path = tmp_path / "r.json"
@@ -323,6 +351,25 @@ class TestGraphDump:
             assert list(rows[0]) == ["source", "target", "similarity"]
             assert len(rows) == 4 * 2  # k=2 in-neighbors for each of 4 sensors
             assert all(-1.0 <= float(r["similarity"]) <= 1.0 for r in rows)
+
+
+def test_perfbench_hook_counts_scored_windows(cli_workspace, tmp_path):
+    """The benchmark's span hook reads `Model.predict`'s first argument as
+    the window count; it must equal the windows `score` reports."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "spans.py"), str(spans), "score",
+         str(cli_workspace / "checkpoint.npz"), str(cli_workspace / "test.csv"),
+         "--scores", str(tmp_path / "s.csv"), "--metrics", str(tmp_path / "m.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    predicts = [s for s in json.loads(spans.read_text())["spans"]
+                if s["name"] == "model.predict"]
+    assert len(predicts) == 1
+    assert predicts[0]["windows"] == json.loads((tmp_path / "m.json").read_text())["n_scored"]
 
 
 def tampered_checkpoint(source, tmp_path, mutate):

@@ -18,6 +18,8 @@ from pgad.model import (
     attention_coefficients,
     conv_stack,
     fuse_and_predict,
+    mix_order,
+    predict_chunks,
     project_input,
     spatial_aggregate,
 )
@@ -29,6 +31,7 @@ from helpers import (
     einsum_conv_stack,
     permutation_mismatches,
     random_instance,
+    series_windows,
     tiny_model_config,
     value_sorted_mix,
 )
@@ -124,7 +127,7 @@ class TestAttention:
 
 def aggregate_one_window(x, alpha, w):
     """`spatial_aggregate` of one (N, d) window, alone in its phase slot."""
-    return spatial_aggregate(x[None], [alpha], w, [np.arange(1)])["h_s"][0]
+    return spatial_aggregate(x[None], [mix_order(alpha)], w, [np.arange(1)])["h_s"][0]
 
 
 class TestGraphAttentionForward:
@@ -336,12 +339,15 @@ class TestModelForward:
 
     def test_predict_chunking_matches_forward(self, monkeypatch):
         config = tiny_model_config()
-        model, params, windows, slot_ids, adjacencies, _ = random_instance(
-            18, config, batch=9
-        )
+        model, params, _, _, adjacencies, _ = random_instance(18, config)
+        rng = np.random.default_rng(18)
+        values = rng.normal(size=(config.n_sensors, 9 + config.window))
+        starts = np.arange(9)
+        slot_ids = rng.integers(0, config.slots, 9)
+        windows = series_windows(values, starts, config.window)
         full, _ = model.forward(windows, slot_ids, adjacencies, params)
-        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 4)
-        chunked = model.predict(windows, slot_ids, adjacencies, params)
+        monkeypatch.setattr(model_module, "PREDICT_ROWS", 4 * config.n_sensors)
+        chunked = model.predict(starts, values, slot_ids, adjacencies, params)
         np.testing.assert_array_equal(full, chunked)
 
     def test_permutation_equivariance_exact(self):
@@ -375,6 +381,104 @@ class TestModelForward:
         assert set(params) == set(shapes)
         for name, shape in shapes.items():
             assert params[name].shape == tuple(shape)
+
+
+class TestPredictOverSeries:
+    """`predict` over a series against `forward` run on the windows of the
+    same chunks, so that every matmul sees the same row count: OpenBLAS
+    may round a GEMM of a few rows differently from a larger one."""
+
+    SLOTS = 3
+
+    def instance(self, seed, n, n_windows, stride, **overrides):
+        config = tiny_model_config(
+            n_sensors=n, window=32, embed_dim=16, spatial_dim=16, temporal_dim=8,
+            hidden_dim=32, slots=self.SLOTS, **overrides,
+        )
+        model, params, _, _, adjacencies, _ = random_instance(seed, config, k=3)
+        rng = np.random.default_rng(seed)
+        starts = 5 + stride * np.arange(n_windows)
+        # time-major, as ingested series are
+        values = rng.normal(size=(starts[-1] + config.window + 7, n)).T
+        slot_ids = rng.integers(0, self.SLOTS, n_windows)
+        return model, params, adjacencies, starts, values, slot_ids
+
+    @staticmethod
+    def oracle(model, starts, values, slot_ids, adjacencies, params):
+        cfg = model.config
+        out = np.empty((len(starts), cfg.n_sensors))
+        for lo, hi in predict_chunks(starts, cfg.n_sensors, cfg.window):
+            windows = series_windows(values, starts[lo:hi], cfg.window)
+            out[lo:hi], _ = model.forward(windows, slot_ids[lo:hi], adjacencies, params)
+        return out
+
+    @pytest.mark.parametrize("n", [2, 8, 51])
+    @pytest.mark.parametrize("stride", [1, 3, 35])
+    def test_bits_equal_forward_on_its_chunks(self, n, stride):
+        per_chunk = max(1, model_module.PREDICT_ROWS // n)
+        model, params, adjacencies, starts, values, slot_ids = self.instance(
+            400 + n + stride, n, 2 * per_chunk + 7, stride
+        )
+        first = slot_ids[:per_chunk]
+        first[first == 1] = 0  # the first chunk lacks slot 1
+        assert (slot_ids == 1).any()
+        w = model.config.window
+        chunks = list(predict_chunks(starts, n, w))
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == len(starts)
+        if stride <= w:
+            assert [hi - lo for lo, hi in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+        else:
+            # the span cap, not the window count, ends these chunks
+            assert max(hi - lo for lo, hi in chunks) < per_chunk
+            assert max(starts[hi - 1] + w - starts[lo] for lo, hi in chunks) <= per_chunk * w
+        out = model.predict(starts, values, slot_ids, adjacencies, params)
+        np.testing.assert_array_equal(
+            out, self.oracle(model, starts, values, slot_ids, adjacencies, params)
+        )
+
+    def test_no_temporal_branch_equals_forward(self):
+        model, params, adjacencies, starts, values, slot_ids = self.instance(
+            9, 8, 100, 1, use_temporal=False
+        )
+        out = model.predict(starts, values, slot_ids, adjacencies, params)
+        np.testing.assert_array_equal(
+            out, self.oracle(model, starts, values, slot_ids, adjacencies, params)
+        )
+
+    @pytest.mark.parametrize("overrides", [
+        dict(tcn_layers=2),
+        dict(tcn_layers=2, dilation=2, kernel_sizes=(1, 3)),
+    ])
+    @pytest.mark.parametrize("n, stride", [(8, 1), (51, 3), (8, 35)])
+    def test_deeper_conv_within_last_bits(self, overrides, n, stride):
+        model, params, adjacencies, starts, values, slot_ids = self.instance(
+            500 + n + stride, n, 150, stride, **overrides
+        )
+        out = model.predict(starts, values, slot_ids, adjacencies, params)
+        expected = self.oracle(model, starts, values, slot_ids, adjacencies, params)
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.abs(out - expected).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [8, 51])
+    def test_sensor_permutation_permutes_output(self, n):
+        model, params, adjacencies, starts, values, slot_ids = self.instance(600 + n, n, 90, 1)
+        base = model.predict(starts, values, slot_ids, adjacencies, params)
+        perm = np.random.default_rng(n).permutation(n)
+        p_params = dict(params)
+        for s in range(self.SLOTS):
+            p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
+        p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
+        p_out = model.predict(starts, values[perm], slot_ids, p_adj, p_params)
+        np.testing.assert_array_equal(p_out, base[:, perm])
+
+    def test_bad_starts_raise(self):
+        model, params, adjacencies, starts, values, slot_ids = self.instance(7, 4, 20, 2)
+        with pytest.raises(ValueError, match="ascend"):
+            model.predict(starts[::-1], values, slot_ids, adjacencies, params)
+        beyond = starts + values.shape[1] - starts[-1] - model.config.window + 1
+        with pytest.raises(ValueError, match="within the series"):
+            model.predict(beyond, values, slot_ids, adjacencies, params)
 
 
 class TestSlotGrouping:
@@ -448,13 +552,13 @@ class TestNeighbourMix:
         alpha[0, 0] = 0.7
         alpha[1:, 1:] = rng.dirichlet(np.ones(3), size=3)
         features = rng.normal(size=(3, 4, 5))
-        out = _alpha_order_mix(alpha, features)
+        out = _alpha_order_mix(mix_order(alpha), features)
         np.testing.assert_array_equal(out[:, 0], 0.7 * features[:, 0])
 
     def test_nan_weights_reach_the_output(self):
         alpha, features = self.mix_instance(9, 8, 2)
         alpha[3, alpha[3] != 0] = np.nan
-        out = _alpha_order_mix(alpha, features)
+        out = _alpha_order_mix(mix_order(alpha), features)
         assert np.isnan(out[:, 3]).all()
         assert np.isfinite(np.delete(out, 3, axis=1)).all()
 
@@ -469,7 +573,7 @@ class TestNeighbourMix:
         for seed, (n, k) in enumerate(cases):
             alpha, features = self.mix_instance(200 + seed, n, k)
             assert self.tied_rows(alpha) == []
-            out = _alpha_order_mix(alpha, features)
+            out = _alpha_order_mix(mix_order(alpha), features)
             scale = np.einsum("ij,bjf->bif", np.abs(alpha), np.abs(features))
             assert (np.abs(out - value_sorted_mix(alpha, features)) <= 1e-12 * scale).all()
 
@@ -493,7 +597,7 @@ class TestNeighbourMix:
         tied = self.tied_rows(alpha)
         assert {0, 1, 3, 5} <= set(tied)
         features = rng.normal(size=(9, n, 7))
-        out = _alpha_order_mix(alpha, features)
+        out = _alpha_order_mix(mix_order(alpha), features)
         np.testing.assert_array_equal(out[:, tied], value_sorted_mix(alpha, features)[:, tied])
 
     @pytest.mark.parametrize("n, k", [(6, 1), (6, 5), (51, 1), (51, 50)])

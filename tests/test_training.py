@@ -185,7 +185,8 @@ class TestTrainLoop:
             batch.window_start_indices, result.report.period, SMALL_CONFIG.slots
         )
         preds = model.predict(
-            batch.windows[-n_val:], slots[-n_val:], adjacencies, result.params
+            batch.window_start_indices[-n_val:], normalized.values, slots[-n_val:],
+            adjacencies, result.params,
         )
         errors = np.abs(preds - batch.targets[-n_val:])
         np.testing.assert_array_equal(errors, result.val_errors)
@@ -268,8 +269,12 @@ class TestTrainConfigValidation:
             dict(epochs=5, patience=6),
             dict(batch_size=0),
             dict(lr=0.0),
+            dict(lr=float("nan")),
+            dict(lr=float("inf")),
             dict(normalization="robust"),
             dict(grad_clip=-1.0),
+            dict(grad_clip=float("nan")),
+            dict(grad_clip=float("inf")),
             dict(val_fraction=0.8),
         ],
     )
