@@ -6,61 +6,53 @@ temporal features, trained to predict the next reading of every sensor.
 Anomaly scores are robustly normalized forecast errors.
 """
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import (
-    NormalizationStats,
-    SeriesMatrix,
-    WindowBatch,
-    fit_normalizer,
-    generate_synthetic,
-    ingest_csv,
-    make_windows,
-)
-from .errors import ConfigError, DataError, DivergenceError, PgadError
-from .graph import cosine_similarity, topk_adjacency
-from .model import Model, ModelConfig
-from .period import PeriodProfile, detect_period
-from .scoring import (
-    MetricsReport,
-    ScoreCalibration,
-    ScoreTrace,
-    best_f1_threshold,
-    evaluate,
-    score_series,
-)
-from .training import TrainConfig, TrainReport, grid_search, train
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Checkpoint",
-    "ConfigError",
-    "DataError",
-    "DivergenceError",
-    "MetricsReport",
-    "Model",
-    "ModelConfig",
-    "NormalizationStats",
-    "PeriodProfile",
-    "PgadError",
-    "ScoreCalibration",
-    "ScoreTrace",
-    "SeriesMatrix",
-    "TrainConfig",
-    "TrainReport",
-    "WindowBatch",
-    "best_f1_threshold",
-    "cosine_similarity",
-    "detect_period",
-    "evaluate",
-    "fit_normalizer",
-    "generate_synthetic",
-    "grid_search",
-    "ingest_csv",
-    "load_checkpoint",
-    "make_windows",
-    "save_checkpoint",
-    "score_series",
-    "topk_adjacency",
-    "train",
-]
+# exported name -> the submodule that defines it. The names resolve on
+# first access, so `import pgad` alone loads no numpy: `pgad.cli` can pin
+# the BLAS thread count before numpy starts.
+_EXPORTS = {
+    "Checkpoint": "checkpoint",
+    "load_checkpoint": "checkpoint",
+    "save_checkpoint": "checkpoint",
+    "NormalizationStats": "data",
+    "SeriesMatrix": "data",
+    "WindowBatch": "data",
+    "fit_normalizer": "data",
+    "generate_synthetic": "data",
+    "ingest_csv": "data",
+    "make_windows": "data",
+    "ConfigError": "errors",
+    "DataError": "errors",
+    "DivergenceError": "errors",
+    "PgadError": "errors",
+    "cosine_similarity": "graph",
+    "topk_adjacency": "graph",
+    "Model": "model",
+    "ModelConfig": "model",
+    "PeriodProfile": "period",
+    "detect_period": "period",
+    "MetricsReport": "scoring",
+    "ScoreCalibration": "scoring",
+    "ScoreTrace": "scoring",
+    "best_f1_threshold": "scoring",
+    "evaluate": "scoring",
+    "score_series": "scoring",
+    "TrainConfig": "training",
+    "TrainReport": "training",
+    "grid_search": "training",
+    "train": "training",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -4,6 +4,11 @@ Settings resolve in three layers: CLI flag, then JSON config file, then
 built-in default. The config file is a flat object whose keys are listed
 by `pgad config show`. Exit codes: 0 success, 1 configuration problem,
 2 data problem, 3 numerical divergence.
+
+Importing this module pins BLAS and OpenMP to one thread per process
+unless the environment sets any of their thread counts: pgad spends its
+`threads` on predict threads or cell processes instead. It must
+therefore be imported before numpy is.
 """
 
 from __future__ import annotations
@@ -14,9 +19,16 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
+
+# before numpy loads its BLAS. A user who sets any of these keeps control
+# of all three: OpenBLAS reads its own variable before OMP_NUM_THREADS.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 import numpy as np
 
@@ -76,6 +88,10 @@ def _cast_kernel_sizes(value, key: str) -> tuple[int, ...]:
 
 _TRAIN_DEFAULTS = TrainConfig()
 
+# `threads` 0 uses at most this many CPUs: speed and peak RSS were measured
+# up to two threads only, and the affinity mask ignores cgroup CPU quotas
+DEFAULT_THREADS_CAP = 2
+
 # flat config-file schema: key -> (caster, default)
 CONFIG_SCHEMA: dict[str, tuple] = {}
 for _field in dataclasses.fields(TrainConfig):
@@ -98,7 +114,7 @@ CONFIG_SCHEMA.update({
     "length": (int, 4800),
     "period": (int, 24),
     "anomaly_rate": (float, 0.03),
-    "threads": (int, 1),
+    "threads": (int, 0),  # 0: one per available CPU, at most DEFAULT_THREADS_CAP
 })
 
 
@@ -188,6 +204,21 @@ def _score_settings(args, file_cfg) -> dict:
         "fixed_value": fixed,
         "point_adjust": bool(_resolve(args, file_cfg, "point_adjust")),
     }
+
+
+def _threads(args, file_cfg) -> int:
+    """The `threads` setting, with 0 resolved to the CPUs this process may
+    run on, capped at DEFAULT_THREADS_CAP. An explicit count is not capped."""
+    threads = int(_resolve(args, file_cfg, "threads"))
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0 (0: one per available CPU), got {threads}")
+    if threads == 0:
+        try:
+            available = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            available = os.cpu_count() or 1
+        return min(available, DEFAULT_THREADS_CAP)
+    return threads
 
 
 def _seeds(args) -> tuple[int, ...]:
@@ -286,7 +317,7 @@ def _write_json(path, payload: dict) -> None:
 def cmd_train(args, file_cfg) -> int:
     series = ingest_csv(args.data)
     config = build_train_config(args, file_cfg)
-    threads = int(_resolve(args, file_cfg, "threads"))
+    threads = _threads(args, file_cfg)
     try:
         if args.grid:
             if args.grid_lrs:
@@ -330,9 +361,10 @@ def cmd_train(args, file_cfg) -> int:
 
 def cmd_score(args, file_cfg) -> int:
     settings = _score_settings(args, file_cfg)
+    threads = _threads(args, file_cfg)
     ckpt = load_checkpoint(args.checkpoint)
     series = ingest_csv(args.data)
-    trace, metrics = score_series(ckpt, series, **settings)
+    trace, metrics = score_series(ckpt, series, workers=threads, **settings)
     names = ckpt.meta["sensor_names"]
     labels_true = trace.labels_true
     columns = ["t", "score", "smoothed", "label_pred"]
@@ -387,7 +419,7 @@ def cmd_ablate(args, file_cfg) -> int:
         raise ConfigError("ablation needs a labeled test CSV")
     config = build_train_config(args, file_cfg)
     settings = _score_settings(args, file_cfg)
-    threads = int(_resolve(args, file_cfg, "threads"))
+    threads = _threads(args, file_cfg)
 
     stats = fit_normalizer(train_series, config.normalization)
     normalized = SeriesMatrix(stats.apply(train_series.values), train_series.sensor_names)
@@ -431,7 +463,7 @@ def cmd_sweep(args, file_cfg) -> int:
     config = build_train_config(args, file_cfg)
     settings = _score_settings(args, file_cfg)
     seeds = _seeds(args)
-    threads = int(_resolve(args, file_cfg, "threads"))
+    threads = _threads(args, file_cfg)
 
     rows = sweep_f1s(train_series, test_series, config, axis, values,
                      seeds=seeds, workers=threads, **settings)
@@ -511,7 +543,10 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file (flat schema)")
     common.add_argument("-v", "--verbose", action="count", default=0)
-    common.add_argument("--threads", type=int, help="worker processes for grids and sweeps")
+    common.add_argument(
+        "--threads", type=int,
+        help="CPU threads: cell processes for --grid, ablate and sweep, predict threads "
+             "for score (default 0: one per available CPU, at most 2)")
 
     parser = _Parser(prog="pgad",
                      description="Periodic-graph anomaly detection for sensor series")

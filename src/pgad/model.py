@@ -19,14 +19,17 @@ permutation of the sensors.
 `Model.predict` scores the windows of a series in chunks of about
 PREDICT_ROWS rows. It takes each slot's attention coefficients and mix
 order once per call and runs the conv stack once over each chunk's span
-of the series, which overlapping windows share. With one conv layer its
-predictions equal `forward`'s on the same chunk bit for bit; with more,
-the deeper layers' matmul over a span may round the last bit differently
-from the same matmul per window.
+of the series, which overlapping windows share. The chunks may run on a
+thread pool; their bounds do not depend on the thread count, so neither
+does any output bit. With one conv layer its predictions equal
+`forward`'s on the same chunk bit for bit; with more, the deeper layers'
+matmul over a span may round the last bit differently from the same
+matmul per window.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -469,16 +472,21 @@ class Model:
         values = self._fuse(values, conv, params)
         return values["pred"], ForwardTrace(values, groups)
 
-    def predict(self, starts, values, slot_ids, adjacencies, params):
+    def predict(self, starts, values, slot_ids, adjacencies, params, workers: int = 1):
         """Predictions (len(starts), N) for the windows values[:, s : s + w]
         of the (N, T) series `values`, one per ascending start s, kept
         without traces.
 
         Each slot's attention coefficients and mix order are taken once
-        per call. The windows run in `predict_chunks`: each chunk copies
-        its span of the series, runs the conv stack once over the span,
-        gathers every window's conv features from that one output, and
-        runs the other blocks over the chunk's windows as `forward` does.
+        per call, on the calling thread. The windows run in
+        `predict_chunks`: each chunk copies its span of the series, runs
+        the conv stack once over the span, gathers every window's conv
+        features from that one output, runs the other blocks over the
+        chunk's windows as `forward` does, and writes its own rows of the
+        output. With `workers` > 1 the chunks run on a thread pool of up
+        to that many threads, which lives for the call; numpy releases the
+        GIL in BLAS and in large array loops. The chunk bounds do not
+        depend on `workers`, so every output bit is the same at any count.
         """
         cfg = self.config
         w = cfg.window
@@ -493,11 +501,15 @@ class Model:
             raise ValueError("window starts must ascend")
         if starts.size and (starts[0] < 0 or starts[-1] + w > values.shape[1]):
             raise ValueError("windows must lie within the series")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         orders = {slot: mix_order(self._attention(slot, adjacencies, params)["alpha"])
                   for slot in np.unique(slot_ids).tolist()}
         filter_layers = self._filter_layers(params) if cfg.use_temporal else None
         out = np.empty((starts.size, cfg.n_sensors))
-        for lo, hi in predict_chunks(starts, cfg.n_sensors, w):
+
+        def run_chunk(bounds):
+            lo, hi = bounds
             span = np.ascontiguousarray(values[:, starts[lo] : starts[hi - 1] + w])
             local = starts[lo:hi] - starts[lo]
             windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1),
@@ -518,6 +530,14 @@ class Model:
                 t_flat = np.moveaxis(per_window, 2, 0)[local]
                 conv = {"t_flat": t_flat.reshape(hi - lo, cfg.n_sensors, -1)}
             out[lo:hi] = self._fuse(blocks, conv, params)["pred"]
+
+        chunks = list(predict_chunks(starts, cfg.n_sensors, w))
+        if workers == 1 or len(chunks) < 2:
+            for bounds in chunks:
+                run_chunk(bounds)
+        else:
+            with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+                list(pool.map(run_chunk, chunks))
         return out
 
     # -- backward ----------------------------------------------------------

@@ -225,12 +225,15 @@ def score_series(
     threshold_mode: str = "max_validation",
     fixed_value: float | None = None,
     point_adjust: bool = False,
+    workers: int = 1,
 ) -> tuple[ScoreTrace, MetricsReport | None]:
     """Score a test series that directly continues the training series.
 
     Window phase is tracked globally: a window starting at local index s
     sits at absolute time train_length + s for slot assignment. Scores
     exist for t >= window (no window crosses the train/test boundary).
+    `workers` is `Model.predict`'s thread count; the scores do not
+    depend on it.
     """
     if threshold_mode not in THRESHOLD_MODES:
         raise ConfigError(f"unknown threshold mode {threshold_mode!r}")
@@ -252,7 +255,8 @@ def score_series(
     )
     model = Model(config)
     preds = model.predict(
-        batch.window_start_indices, normalized.values, slots, adjacencies, checkpoint.params
+        batch.window_start_indices, normalized.values, slots, adjacencies, checkpoint.params,
+        workers=workers,
     )
 
     errors = sensor_errors(preds, batch.targets)

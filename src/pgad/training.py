@@ -14,7 +14,6 @@ import dataclasses
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,8 +350,14 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
 # learning-rate grid
 
 def pool_map(fn, jobs: list, workers: int) -> list:
-    """`fn` over `jobs` in order; in a pool of `workers` processes when > 1."""
+    """`fn` over `jobs` in order; in a pool of min(`workers`, len(`jobs`))
+    processes when that is > 1. The pool starts all its processes at once,
+    so it never has more than there are jobs."""
+    workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import os
+
+# numpy loads before pgad.cli pins BLAS to one thread, so the in-process
+# tests run numpy's default BLAS threads, as a library caller's code does.
+# The CLI's own pinned path runs in the subprocess tests.
+import numpy  # noqa: F401
 import pytest
 
-from pgad import cli
+_SET_BEFORE = set(os.environ)
+
+from pgad import cli  # noqa: E402
+
+# and the pin does not leak into subprocesses that set no thread count
+for _var in cli._BLAS_THREAD_VARS:
+    if _var not in _SET_BEFORE:
+        os.environ.pop(_var, None)
 
 
 TINY_SYNTH = [

@@ -197,6 +197,26 @@ class TestTrain:
         assert code == 1
         assert not (tmp_path / "m.npz").exists()
 
+    def test_negative_threads_exits_one(self, cli_workspace, tmp_path):
+        code = cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN, "--threads", "-3",
+            "--checkpoint", str(tmp_path / "m.npz"), "--report", str(tmp_path / "r.json"),
+            "--loss-curve", str(tmp_path / "c.csv"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_negative_threads_config_key_exits_one(self, cli_workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": -1}))
+        code = cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN, "--config", str(cfg),
+            "--checkpoint", str(tmp_path / "m.npz"), "--report", str(tmp_path / "r.json"),
+            "--loss-curve", str(tmp_path / "c.csv"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_three_with_partial_report(self, cli_workspace, tmp_path):
         report_path = tmp_path / "r.json"
@@ -311,6 +331,40 @@ class TestScore:
         for text in ("fixed", "best-f1:0.5", "fixed:1_e3"):
             with pytest.raises(ConfigError):
                 cli.parse_threshold(text)
+
+    def test_thread_counts_write_identical_files(self, cli_workspace, tmp_path):
+        # 164 windows of 4 sensors run in two predict chunks
+        written = []
+        for threads in ("1", "2", "3"):
+            scores, metrics = tmp_path / f"s{threads}.csv", tmp_path / f"m{threads}.json"
+            assert cli.main([
+                "score", str(cli_workspace / "checkpoint.npz"),
+                str(cli_workspace / "test.csv"), "--threshold", "best-f1",
+                "--threads", threads, "--scores", str(scores), "--metrics", str(metrics),
+            ]) == 0
+            written.append((scores.read_bytes(), metrics.read_bytes()))
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+
+    def test_zero_threads_means_one_per_available_cpu_up_to_the_cap(self, monkeypatch):
+        args = cli.build_parser().parse_args(["score", "m.npz", "d.csv", "--threads", "0"])
+        for cpus, expected in ((1, 1), (2, 2), (64, cli.DEFAULT_THREADS_CAP)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            assert cli._threads(args, {}) == expected
+            assert cli._threads(args, {"threads": 3}) == expected
+        args.threads = None
+        assert cli._threads(args, {"threads": 3}) == 3
+        args.threads = 5
+        assert cli._threads(args, {}) == 5  # an explicit count is not capped
+
+    def test_negative_threads_exits_one(self, cli_workspace, tmp_path):
+        metrics = tmp_path / "m.json"
+        code = cli.main([
+            "score", str(cli_workspace / "checkpoint.npz"), str(cli_workspace / "test.csv"),
+            "--threads", "-2", "--scores", str(tmp_path / "s.csv"), "--metrics", str(metrics),
+        ])
+        assert code == 1
+        assert not metrics.exists()
 
     def test_ma_window_below_one_exits_one_before_loading(self, tmp_path):
         # the checkpoint does not exist: the setting is checked first
@@ -561,6 +615,48 @@ class TestSweepCommand:
         assert code == 1
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(code: str, **env_vars) -> str:
+    """stdout of `python -c code` with pgad on the path, the BLAS thread
+    variables unset, and `env_vars` set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestImportSideEffects:
+    def test_cli_import_pins_unset_blas_threads(self):
+        out = run_python("import os, pgad.cli; "
+                         f"print([os.environ[v] for v in {BLAS_THREAD_VARS!r}])")
+        assert out == "['1', '1', '1']"
+
+    def test_cli_import_keeps_a_set_value(self):
+        out = run_python("import os, pgad.cli; "
+                         f"print([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])",
+                         OPENBLAS_NUM_THREADS="2")
+        assert out == "['2', None, None]"
+
+    def test_cli_import_pins_nothing_when_omp_threads_set(self):
+        # OpenBLAS reads its own variable first: a pinned one would
+        # override the user's OMP_NUM_THREADS
+        out = run_python("import os, pgad.cli; "
+                         f"print([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])",
+                         OMP_NUM_THREADS="2")
+        assert out == "[None, '2', None]"
+
+    def test_package_import_loads_no_numpy(self):
+        assert run_python("import sys, pgad; print('numpy' in sys.modules)") == "False"
+
+    def test_cli_import_loads_no_multiprocessing(self):
+        out = run_python("import sys, pgad.cli; print('multiprocessing' in sys.modules)")
+        assert out == "False"
+
+
 class TestConfigCommand:
     def test_show_prints_defaults_as_json(self, capsys):
         assert cli.main(["config", "show"]) == 0
@@ -569,6 +665,7 @@ class TestConfigCommand:
         assert effective["neighbors"] == 15
         assert effective["kernel_sizes"] == [2, 3, 5]
         assert effective["threshold"] == "max_validation"
+        assert effective["threads"] == 0
 
     def test_show_reflects_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

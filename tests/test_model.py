@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -383,25 +384,43 @@ class TestModelForward:
             assert params[name].shape == tuple(shape)
 
 
+PREDICT_SLOTS = 3
+
+
+def predict_instance(seed, n, n_windows, stride, **overrides):
+    """A model, its parameters and graphs, and a time-major series with
+    `n_windows` window starts `stride` apart, each given a random slot."""
+    config = tiny_model_config(
+        n_sensors=n, window=32, embed_dim=16, spatial_dim=16, temporal_dim=8,
+        hidden_dim=32, slots=PREDICT_SLOTS, **overrides,
+    )
+    model, params, _, _, adjacencies, _ = random_instance(seed, config, k=3)
+    rng = np.random.default_rng(seed)
+    starts = 5 + stride * np.arange(n_windows)
+    # time-major, as ingested series are
+    values = rng.normal(size=(starts[-1] + config.window + 7, n)).T
+    slot_ids = rng.integers(0, PREDICT_SLOTS, n_windows)
+    return model, params, adjacencies, starts, values, slot_ids
+
+
+def predict_permutes_output(n: int, workers: int) -> bool:
+    """Whether permuting the sensors of a series permutes `predict`'s output
+    bit for bit."""
+    model, params, adjacencies, starts, values, slot_ids = predict_instance(600 + n, n, 90, 1)
+    base = model.predict(starts, values, slot_ids, adjacencies, params, workers=workers)
+    perm = np.random.default_rng(n).permutation(n)
+    p_params = dict(params)
+    for s in range(PREDICT_SLOTS):
+        p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
+    p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
+    p_out = model.predict(starts, values[perm], slot_ids, p_adj, p_params, workers=workers)
+    return np.array_equal(p_out, base[:, perm])
+
+
 class TestPredictOverSeries:
     """`predict` over a series against `forward` run on the windows of the
     same chunks, so that every matmul sees the same row count: OpenBLAS
     may round a GEMM of a few rows differently from a larger one."""
-
-    SLOTS = 3
-
-    def instance(self, seed, n, n_windows, stride, **overrides):
-        config = tiny_model_config(
-            n_sensors=n, window=32, embed_dim=16, spatial_dim=16, temporal_dim=8,
-            hidden_dim=32, slots=self.SLOTS, **overrides,
-        )
-        model, params, _, _, adjacencies, _ = random_instance(seed, config, k=3)
-        rng = np.random.default_rng(seed)
-        starts = 5 + stride * np.arange(n_windows)
-        # time-major, as ingested series are
-        values = rng.normal(size=(starts[-1] + config.window + 7, n)).T
-        slot_ids = rng.integers(0, self.SLOTS, n_windows)
-        return model, params, adjacencies, starts, values, slot_ids
 
     @staticmethod
     def oracle(model, starts, values, slot_ids, adjacencies, params):
@@ -412,16 +431,22 @@ class TestPredictOverSeries:
             out[lo:hi], _ = model.forward(windows, slot_ids[lo:hi], adjacencies, params)
         return out
 
+    @staticmethod
+    def chunked_instance(n, stride):
+        """Two chunks' worth of windows and 7 more; the first chunk lacks slot 1."""
+        per_chunk = max(1, model_module.PREDICT_ROWS // n)
+        instance = predict_instance(400 + n + stride, n, 2 * per_chunk + 7, stride)
+        slot_ids = instance[-1]
+        first = slot_ids[:per_chunk]
+        first[first == 1] = 0
+        assert (slot_ids == 1).any()
+        return instance
+
     @pytest.mark.parametrize("n", [2, 8, 51])
     @pytest.mark.parametrize("stride", [1, 3, 35])
     def test_bits_equal_forward_on_its_chunks(self, n, stride):
         per_chunk = max(1, model_module.PREDICT_ROWS // n)
-        model, params, adjacencies, starts, values, slot_ids = self.instance(
-            400 + n + stride, n, 2 * per_chunk + 7, stride
-        )
-        first = slot_ids[:per_chunk]
-        first[first == 1] = 0  # the first chunk lacks slot 1
-        assert (slot_ids == 1).any()
+        model, params, adjacencies, starts, values, slot_ids = self.chunked_instance(n, stride)
         w = model.config.window
         chunks = list(predict_chunks(starts, n, w))
         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
@@ -437,8 +462,40 @@ class TestPredictOverSeries:
             out, self.oracle(model, starts, values, slot_ids, adjacencies, params)
         )
 
+    @pytest.mark.parametrize("n", [2, 8, 51])
+    @pytest.mark.parametrize("stride", [1, 3, 35])
+    def test_bits_equal_at_any_worker_count(self, n, stride):
+        model, params, adjacencies, starts, values, slot_ids = self.chunked_instance(n, stride)
+        assert len(list(predict_chunks(starts, n, model.config.window))) >= 3
+        one = model.predict(starts, values, slot_ids, adjacencies, params, workers=1)
+        for workers in (2, 3):
+            np.testing.assert_array_equal(
+                model.predict(starts, values, slot_ids, adjacencies, params, workers=workers),
+                one,
+            )
+
+    def test_chunk_error_propagates_and_threads_end(self, monkeypatch):
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(8, 8, 200, 1)
+        lock = threading.Lock()
+        calls = []
+
+        def conv_failing_on_third_chunk(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError("chunk failed")
+            return conv_stack(*args, **kwargs)
+
+        before = threading.active_count()
+        model.predict(starts, values, slot_ids, adjacencies, params, workers=2)
+        assert threading.active_count() == before
+        monkeypatch.setattr(model_module, "conv_stack", conv_failing_on_third_chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            model.predict(starts, values, slot_ids, adjacencies, params, workers=2)
+        assert threading.active_count() == before
+
     def test_no_temporal_branch_equals_forward(self):
-        model, params, adjacencies, starts, values, slot_ids = self.instance(
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(
             9, 8, 100, 1, use_temporal=False
         )
         out = model.predict(starts, values, slot_ids, adjacencies, params)
@@ -452,7 +509,7 @@ class TestPredictOverSeries:
     ])
     @pytest.mark.parametrize("n, stride", [(8, 1), (51, 3), (8, 35)])
     def test_deeper_conv_within_last_bits(self, overrides, n, stride):
-        model, params, adjacencies, starts, values, slot_ids = self.instance(
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(
             500 + n + stride, n, 150, stride, **overrides
         )
         out = model.predict(starts, values, slot_ids, adjacencies, params)
@@ -462,23 +519,17 @@ class TestPredictOverSeries:
 
     @pytest.mark.parametrize("n", [8, 51])
     def test_sensor_permutation_permutes_output(self, n):
-        model, params, adjacencies, starts, values, slot_ids = self.instance(600 + n, n, 90, 1)
-        base = model.predict(starts, values, slot_ids, adjacencies, params)
-        perm = np.random.default_rng(n).permutation(n)
-        p_params = dict(params)
-        for s in range(self.SLOTS):
-            p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
-        p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
-        p_out = model.predict(starts, values[perm], slot_ids, p_adj, p_params)
-        np.testing.assert_array_equal(p_out, base[:, perm])
+        assert predict_permutes_output(n, workers=1)
 
     def test_bad_starts_raise(self):
-        model, params, adjacencies, starts, values, slot_ids = self.instance(7, 4, 20, 2)
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(7, 4, 20, 2)
         with pytest.raises(ValueError, match="ascend"):
             model.predict(starts[::-1], values, slot_ids, adjacencies, params)
         beyond = starts + values.shape[1] - starts[-1] - model.config.window + 1
         with pytest.raises(ValueError, match="within the series"):
             model.predict(beyond, values, slot_ids, adjacencies, params)
+        with pytest.raises(ValueError, match="workers"):
+            model.predict(starts, values, slot_ids, adjacencies, params, workers=0)
 
 
 class TestSlotGrouping:
@@ -624,10 +675,15 @@ class TestNeighbourMix:
 
 
 class TestPermutationExactness:
-    """Model.forward under sensor permutation, dense and gathered mix paths."""
+    """Model.forward under sensor permutation, dense and gathered mix paths,
+    and Model.predict on a thread pool."""
 
     def test_forward_equivariant_over_shapes(self):
         assert permutation_mismatches(31) == []
+
+    @pytest.mark.parametrize("n", [8, 51])
+    def test_predict_equivariant_on_two_workers(self, n):
+        assert predict_permutes_output(n, workers=2)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_forward_equivariant_with_pinned_blas_threads(self, threads):

@@ -1,6 +1,8 @@
 """Loss, optimizer, and the training loop on small synthetic series."""
 
+import concurrent.futures
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from pgad.training import (
     grid_search,
     l2_loss,
     param_checksum,
+    pool_map,
     slot_ids_for_windows,
     train,
 )
@@ -313,3 +316,28 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_search(small_series(), SMALL_CONFIG, lrs=())
+
+
+class TestPoolMap:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every ProcessPoolExecutor started."""
+        sizes = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class Recording(real):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    def test_pool_has_no_more_processes_than_jobs(self, pool_sizes):
+        assert pool_map(abs, [-1, -2], workers=8) == [1, 2]
+        assert pool_sizes == [2]
+
+    def test_one_job_runs_in_this_process(self, pool_sizes):
+        # a lambda cannot be pickled, so it could not run in a pool
+        assert pool_map(lambda _: os.getpid(), [0], workers=8) == [os.getpid()]
+        assert pool_sizes == []
