@@ -149,6 +149,8 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(str(arrays["meta"][()]))
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} meta is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("model", {}), dict):
+        raise DataError(f"checkpoint {path} meta or its model record is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise DataError(
             f"checkpoint version {meta.get('version')!r} unsupported "

@@ -78,11 +78,28 @@ def _cast_bool(value, key: str) -> bool:
     raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
 
 
+def _cast_int(value, key: str) -> int:
+    # int() would take true as 1 and cut 2.7 to 2
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _cast_float(value, key: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _cast_str(value, key: str) -> str:
+    return str(value)
+
+
 def _cast_kernel_sizes(value, key: str) -> tuple[int, ...]:
     if isinstance(value, str):
         return _parse_int_list(value)
-    if isinstance(value, (list, tuple)) and all(isinstance(v, int) for v in value):
-        return tuple(value)
+    if isinstance(value, (list, tuple)):
+        return tuple(_cast_int(v, key) for v in value)
     raise ConfigError(f"config key {key!r} must be a list of integers")
 
 
@@ -94,27 +111,20 @@ DEFAULT_THREADS_CAP = 2
 
 # flat config-file schema: key -> (caster, default)
 CONFIG_SCHEMA: dict[str, tuple] = {}
+_CASTERS = {bool: _cast_bool, int: _cast_int, float: _cast_float, str: _cast_str}
 for _field in dataclasses.fields(TrainConfig):
     _default = getattr(_TRAIN_DEFAULTS, _field.name)
-    if _field.name == "kernel_sizes":
-        CONFIG_SCHEMA[_field.name] = (_cast_kernel_sizes, _default)
-    elif isinstance(_default, bool):
-        CONFIG_SCHEMA[_field.name] = (_cast_bool, _default)
-    elif isinstance(_default, int):
-        CONFIG_SCHEMA[_field.name] = (int, _default)
-    elif isinstance(_default, float):
-        CONFIG_SCHEMA[_field.name] = (float, _default)
-    else:
-        CONFIG_SCHEMA[_field.name] = (str, _default)
+    _caster = _cast_kernel_sizes if _field.name == "kernel_sizes" else _CASTERS[type(_default)]
+    CONFIG_SCHEMA[_field.name] = (_caster, _default)
 CONFIG_SCHEMA.update({
-    "ma_window": (int, 3),
-    "threshold": (str, "max_validation"),
+    "ma_window": (_cast_int, 3),
+    "threshold": (_cast_str, "max_validation"),
     "point_adjust": (_cast_bool, False),
-    "sensors": (int, 8),
-    "length": (int, 4800),
-    "period": (int, 24),
-    "anomaly_rate": (float, 0.03),
-    "threads": (int, 0),  # 0: one per available CPU, at most DEFAULT_THREADS_CAP
+    "sensors": (_cast_int, 8),
+    "length": (_cast_int, 4800),
+    "period": (_cast_int, 24),
+    "anomaly_rate": (_cast_float, 0.03),
+    "threads": (_cast_int, 0),  # 0: one per available CPU, at most DEFAULT_THREADS_CAP
 })
 
 
@@ -132,10 +142,8 @@ def load_config_file(path: str) -> dict:
     for key, value in raw.items():
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key {key!r} in {file_path}")
-        caster = CONFIG_SCHEMA[key][0]
         try:
-            resolved[key] = caster(value, key) if caster in (_cast_bool, _cast_kernel_sizes) \
-                else caster(value)
+            resolved[key] = CONFIG_SCHEMA[key][0](value, key)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for config key {key!r}: {exc}") from exc
     return resolved

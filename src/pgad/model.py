@@ -8,6 +8,10 @@ the raw window and reduces the flattened channels to a fixed width. The
 two features are concatenated, layer-normalized, and mapped through a
 two-layer MLP to one next-step prediction per sensor.
 
+Each forward block has its backward beside it; `conv_stack` keeps each
+layer's tap and stacked filter matrices for it, and `Model.backward` only
+composes the blocks in reverse order.
+
 Adjacency patterns are treated as constants: gradients flow into the
 embeddings only through the attention logits. The softmax denominator
 sums its terms in value-sorted order, the neighbour mix adds each row's
@@ -183,10 +187,17 @@ def _rowwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 def project_input(window: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Shared per-sensor affine map x @ weight.T + bias.
 
-    Maps raw windows to d-dim features, and reduces the flattened conv
-    features to the temporal width.
+    Maps raw windows to d-dim features, reduces the flattened conv
+    features to the temporal width, and is the MLP's first layer.
     """
     return _rowwise(np.asarray(window), weight) + bias
+
+
+def project_input_backward(x, weight, d_out, input_grad: bool = True):
+    """Grads of `project_input`'s weight and bias from its (B, N, ...) input
+    x and d(loss)/d(out), then x's grad if `input_grad` is set, else None."""
+    d_x = d_out @ weight if input_grad else None
+    return _flat(d_out).T @ _flat(x), d_out.sum((0, 1)), d_x
 
 
 def attention_coefficients(embedding, adjacency, att_w, att_a, slope: float = 0.2) -> dict:
@@ -209,6 +220,19 @@ def attention_coefficients(embedding, adjacency, att_w, att_a, slope: float = 0.
     return {"v": v, "raw": raw, "logits": logits, "mask": mask, "alpha": alpha}
 
 
+def attention_backward(att, d_alpha, embedding, att_w, att_a, slope: float = 0.2):
+    """Grads of att_w, att_a and the embedding from the values `att` that
+    `attention_coefficients` returned and d(loss)/d(alpha)."""
+    alpha, v = att["alpha"], att["v"]
+    d_prime = v.shape[1]
+    dlogit = alpha * (d_alpha - (alpha * d_alpha).sum(-1, keepdims=True))
+    draw = dlogit * np.where(att["raw"] > 0, 1.0, slope)
+    dsrc = draw.sum(axis=1)
+    ddst = draw.sum(axis=0)
+    dv = dsrc[:, None] * att_a[None, :d_prime] + ddst[:, None] * att_a[None, d_prime:]
+    return dv.T @ embedding, np.concatenate([v.T @ dsrc, v.T @ ddst]), dv @ att_w
+
+
 def spatial_aggregate(x_proj, orders, att_w, rows) -> dict:
     """h_i = ReLU(sum_j alpha[i, j] * W x'_j), the self term included in alpha.
 
@@ -223,6 +247,21 @@ def spatial_aggregate(x_proj, orders, att_w, rows) -> dict:
     s_mask = pre_s > 0
     np.maximum(pre_s, 0.0, out=pre_s)  # ReLU in place
     return {"wx": wx, "s_mask": s_mask, "h_s": pre_s}
+
+
+def spatial_aggregate_backward(saved, x_proj, alphas, rows, att_w, d_h_s):
+    """att_w's grad through the mix, x_proj's grad and one d(loss)/d(alpha)
+    per slot, from the values `spatial_aggregate` returned, its input
+    `x_proj`, the slots' weights alphas[g] that mixed rows[g], and
+    d(loss)/d(h_s)."""
+    dpre = d_h_s * saved["s_mask"]
+    dwx = np.empty_like(dpre)
+    d_alphas = []
+    for idx, alpha in zip(rows, alphas):
+        dpre_g = dpre[idx]
+        d_alphas.append(np.tensordot(dpre_g, saved["wx"][idx], axes=([0, 2], [0, 2])))
+        dwx[idx] = alpha.T @ dpre_g
+    return _flat(dwx).T @ _flat(x_proj), dwx @ att_w, d_alphas
 
 
 def _conv_taps(x, kmax, dilation, base, out_len):
@@ -260,7 +299,8 @@ def conv_stack(window, filter_layers, dilation: int = 1) -> dict:
     broadcast matmul of the stacked filters over the shared tap matrix, so
     every window's output is its own GEMM. Returns the features flattened
     to `t_flat` (..., N, channels * L_out) and, in `conv`, each layer's
-    input, ReLU mask and geometry.
+    input `x`, tap matrix `taps`, stacked filter matrix `filt`, ReLU mask
+    and geometry.
     """
     x = np.asarray(window, dtype=np.float64)[..., None, :]
     layers = []
@@ -273,13 +313,44 @@ def conv_stack(window, filter_layers, dilation: int = 1) -> dict:
             raise ValueError(
                 f"sequence of length {x.shape[-1]} shorter than receptive field {base + 1}"
             )
-        pre = _conv_filter_matrix(filters, kmax) @ _conv_taps(x, kmax, q, base, out_len)
+        filt = _conv_filter_matrix(filters, kmax)
+        taps = _conv_taps(x, kmax, q, base, out_len)
+        pre = filt @ taps
         mask = pre > 0
         np.maximum(pre, 0.0, out=pre)  # ReLU in place
-        layers.append({"x": x, "mask": mask, "dilation": q, "base": base, "out_len": out_len})
+        layers.append({"x": x, "taps": taps, "filt": filt, "mask": mask, "dilation": q,
+                       "base": base, "out_len": out_len})
         x = pre
         q *= 2
     return {"conv": layers, "t_flat": x.reshape(x.shape[:-2] + (-1,))}
+
+
+def conv_stack_backward(layers, filter_layers, d_t_flat) -> list[dict]:
+    """One {kernel_size: grad} per layer of `conv_stack` over (B, N, w)
+    windows, from its `conv` layers, its `filter_layers` and
+    d(loss)/d(t_flat), which it overwrites. A layer's grads are disjoint
+    views of one array."""
+    d_act = d_t_flat.reshape(layers[-1]["mask"].shape)
+    grads = [None] * len(layers)
+    for l in reversed(range(len(layers))):
+        layer, filters = layers[l], filter_layers[l]
+        dpre = np.multiply(d_act, layer["mask"], out=d_act)
+        kmax = max(filters)
+        in_ch = layer["x"].shape[-2]
+        # one product per window, then the sum over windows: a tensordot
+        # would first copy dpre into a (channels, rows) layout
+        dw = (dpre @ np.swapaxes(layer["taps"], -1, -2)).sum(axis=(0, 1)).reshape(-1, in_ch, kmax)
+        sizes = sorted(filters)
+        banks = np.split(dw, np.cumsum([filters[c].shape[0] for c in sizes])[:-1])
+        grads[l] = {c: bank[..., :c] for c, bank in zip(sizes, banks)}
+        if l > 0:
+            q, base, out_len = layer["dilation"], layer["base"], layer["out_len"]
+            dtaps = (layer["filt"].T @ dpre).reshape(dpre.shape[:-2] + (in_ch, kmax, out_len))
+            d_act = np.zeros_like(layer["x"])
+            for s in range(kmax):
+                lo = base - q * s
+                d_act[..., lo : lo + out_len] += dtaps[..., s, :]
+    return grads
 
 
 def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
@@ -294,7 +365,7 @@ def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
     inv_std = 1.0 / np.sqrt(var + ln_eps)
     xhat = (fused - mu) * inv_std
     y_ln = params["ln_gain"] * xhat + params["ln_bias"]
-    z1 = _rowwise(y_ln, params["mlp_w1"]) + params["mlp_b1"]
+    z1 = project_input(y_ln, params["mlp_w1"], params["mlp_b1"])
     z1_mask = z1 > 0
     r1 = np.maximum(z1, 0.0, out=z1)  # ReLU in place
     pred = np.einsum("...h,h->...", r1, params["mlp_w2"]) + params["mlp_b2"]
@@ -302,6 +373,28 @@ def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
         "xhat": xhat, "inv_std": inv_std, "y_ln": y_ln,
         "z1_mask": z1_mask, "r1": r1, "pred": pred,
     }
+
+
+def fuse_and_predict_backward(saved, d_pred, params, t_dim: int):
+    """LayerNorm and MLP grads by parameter name, then the grads of h_s and
+    h_t, from the values `fuse_and_predict` returned and d(loss)/d(pred)
+    (B, N). `t_dim` is h_t's width, 0 (and its grad None) without h_t."""
+    d_pred = np.asarray(d_pred)
+    # mlp_b2's grad is a 0-d array, not a numpy scalar, so in-place clipping reaches it
+    grads = {"mlp_w2": np.einsum("bn,bnh->h", d_pred, saved["r1"]),
+             "mlp_b2": np.array(d_pred.sum())}
+    dz1 = (d_pred[..., None] * params["mlp_w2"]) * saved["z1_mask"]
+    grads["mlp_w1"], grads["mlp_b1"], dy = project_input_backward(
+        saved["y_ln"], params["mlp_w1"], dz1)
+    xhat = saved["xhat"]
+    grads["ln_gain"] = (dy * xhat).sum((0, 1))
+    grads["ln_bias"] = dy.sum((0, 1))
+    gg = dy * params["ln_gain"]
+    d_fused = saved["inv_std"] * (gg - gg.mean(-1, keepdims=True)
+                                  - xhat * (gg * xhat).mean(-1, keepdims=True))
+    if not t_dim:
+        return grads, d_fused, None
+    return grads, d_fused[..., t_dim:], d_fused[..., :t_dim]
 
 
 # ---------------------------------------------------------------------------
@@ -545,96 +638,37 @@ class Model:
     def backward(self, trace: ForwardTrace, d_preds, params):
         """Gradients for every parameter given d(loss)/d(predictions).
 
-        Weight grads are taken once over the whole batch; only the
-        attention, embedding and neighbour-mix grads loop over the slots.
+        Composes the blocks' backwards in the reverse order of `forward`;
+        sums the att_w, att_a and embedding grads over the slot groups and
+        gives slots absent from the batch zero embedding grads.
         """
         if not trace.groups:
             raise ValueError("backward called without a forward trace")
         cfg = self.config
-        g = trace.batch
-        dpred = np.asarray(d_preds)
-        b, n = dpred.shape
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-
-        # output MLP
-        grads["mlp_w2"] += np.einsum("bn,bnh->h", dpred, g["r1"])
-        grads["mlp_b2"] += dpred.sum()
-        dz1 = (dpred[..., None] * params["mlp_w2"]) * g["z1_mask"]
-        grads["mlp_w1"] += _flat(dz1).T @ _flat(g["y_ln"])
-        grads["mlp_b1"] += dz1.sum((0, 1))
-        dy = dz1 @ params["mlp_w1"]
-
-        # layer norm
-        xhat = g["xhat"]
-        grads["ln_gain"] += (dy * xhat).sum((0, 1))
-        grads["ln_bias"] += dy.sum((0, 1))
-        gg = dy * params["ln_gain"]
-        dfused = g["inv_std"] * (
-            gg
-            - gg.mean(-1, keepdims=True)
-            - xhat * (gg * xhat).mean(-1, keepdims=True)
-        )
-
-        # split the fused vector back into branches
+        saved, groups = trace.batch, trace.groups
+        grads, d_h_s, d_h_t = fuse_and_predict_backward(
+            saved, d_preds, params, cfg.temporal_dim if cfg.use_temporal else 0)
         if cfg.use_temporal:
-            td = cfg.temporal_dim
-            dt_red = dfused[..., :td]
-            dh_s = dfused[..., td:]
-            grads["tred_w"] += _flat(dt_red).T @ _flat(g["t_flat"])
-            grads["tred_b"] += dt_red.sum((0, 1))
-            d_act = (dt_red @ params["tred_w"]).reshape(
-                b, n, cfg.conv_channels_total(), cfg.conv_out_len()
-            )
-            kmax = max(cfg.kernel_sizes)
-            for l in reversed(range(cfg.tcn_layers)):
-                layer = g["conv"][l]
-                dpre = np.multiply(d_act, layer["mask"], out=d_act)
-                q, base, out_len = layer["dilation"], layer["base"], layer["out_len"]
-                x_in = layer["x"]
-                in_ch = x_in.shape[-2]
-                # one product per window, then the sum over windows: a tensordot
-                # would first copy dpre into a (channels, rows) layout
-                taps = _conv_taps(x_in, kmax, q, base, out_len)
-                dw = (dpre @ np.swapaxes(taps, -1, -2)).sum(axis=(0, 1)).reshape(-1, in_ch, kmax)
-                for k, c in enumerate(cfg.kernel_sizes):
-                    off = k * cfg.channels
-                    grads[f"conv{l}_k{c}"] += dw[off : off + cfg.channels, :, :c]
-                if l > 0:
-                    filt = _conv_filter_matrix(
-                        {c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}, kmax
-                    )
-                    dtaps = (filt.T @ dpre).reshape(b, n, in_ch, kmax, out_len)
-                    d_act = np.zeros_like(x_in)
-                    for s in range(kmax):
-                        lo = base - q * s
-                        d_act[..., lo : lo + out_len] += dtaps[..., s, :]
-        else:
-            dh_s = dfused
-
-        # spatial branch: the mix and attention per slot, back to embeddings
-        dpre_s = dh_s * g["s_mask"]
-        dwx = np.empty_like(dpre_s)
-        d_prime = cfg.spatial_dim
-        for group in trace.groups:
-            idx, att = group["idx"], group["att"]
-            alpha, v = att["alpha"], att["v"]
-            dpre_g = dpre_s[idx]
-            dalpha = np.tensordot(dpre_g, g["wx"][idx], axes=([0, 2], [0, 2]))
-            dwx[idx] = alpha.T @ dpre_g
-            dlogit = alpha * (dalpha - (alpha * dalpha).sum(-1, keepdims=True))
-            draw = dlogit * np.where(att["raw"] > 0, 1.0, cfg.leaky_slope)
-            dsrc = draw.sum(axis=1)
-            ddst = draw.sum(axis=0)
-            dv = dsrc[:, None] * params["att_a"][None, :d_prime] \
-                + ddst[:, None] * params["att_a"][None, d_prime:]
-            grads["att_a"][:d_prime] += v.T @ dsrc
-            grads["att_a"][d_prime:] += v.T @ ddst
-            grads["att_w"] += dv.T @ params[f"emb_{group['slot']}"]
-            grads[f"emb_{group['slot']}"] += dv @ params["att_w"]
-        grads["att_w"] += _flat(dwx).T @ _flat(g["x_proj"])
-        dxp = dwx @ params["att_w"]
-
-        # input projection
-        grads["proj_w"] += _flat(dxp).T @ _flat(g["window"])
-        grads["proj_b"] += dxp.sum((0, 1))
-        return grads
+            grads["tred_w"], grads["tred_b"], d_t_flat = project_input_backward(
+                saved["t_flat"], params["tred_w"], d_h_t)
+            layers = conv_stack_backward(saved["conv"], self._filter_layers(params), d_t_flat)
+            for l, layer_grads in enumerate(layers):
+                grads.update({f"conv{l}_k{c}": grad for c, grad in layer_grads.items()})
+        d_att_w_mix, d_x_proj, d_alphas = spatial_aggregate_backward(
+            saved, saved["x_proj"], [g["att"]["alpha"] for g in groups],
+            [g["idx"] for g in groups], params["att_w"], d_h_s)
+        grads["proj_w"], grads["proj_b"], _ = project_input_backward(
+            saved["window"], params["proj_w"], d_x_proj, input_grad=False)
+        grads["att_w"] = np.zeros_like(params["att_w"])
+        grads["att_a"] = np.zeros_like(params["att_a"])
+        for group, d_alpha in zip(groups, d_alphas):
+            emb = f"emb_{group['slot']}"
+            d_att_w, d_att_a, grads[emb] = attention_backward(
+                group["att"], d_alpha, params[emb], params["att_w"], params["att_a"],
+                cfg.leaky_slope)
+            grads["att_w"] += d_att_w
+            grads["att_a"] += d_att_a
+        grads["att_w"] += d_att_w_mix
+        for slot in range(cfg.slots):
+            grads.setdefault(f"emb_{slot}", np.zeros_like(params[f"emb_{slot}"]))
+        return {name: grads[name] for name in params}

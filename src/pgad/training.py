@@ -59,14 +59,10 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def validate(self) -> None:
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if self.neighbors < 1:
             raise ValueError("neighbors must be >= 1")
-        if self.slots < 1:
-            raise ValueError("slots must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.patience < 1:
@@ -86,20 +82,12 @@ class TrainConfig:
         self.model_config(max(2, self.neighbors + 1)).validate()
 
     def model_config(self, n_sensors: int) -> ModelConfig:
-        return ModelConfig(
-            n_sensors=n_sensors,
-            window=self.window,
-            embed_dim=self.embed_dim,
-            spatial_dim=self.spatial_dim,
-            channels=self.channels,
-            temporal_dim=self.temporal_dim,
-            hidden_dim=self.hidden_dim,
-            kernel_sizes=tuple(self.kernel_sizes),
-            dilation=self.dilation,
-            tcn_layers=self.tcn_layers,
-            slots=self.slots,
-            use_temporal=self.use_temporal,
-        )
+        """The model hyperparameters this config shares with ModelConfig."""
+        own = {f.name for f in dataclasses.fields(self)}
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)
+                  if f.name in own}
+        values["kernel_sizes"] = tuple(self.kernel_sizes)
+        return ModelConfig(n_sensors=n_sensors, **values)
 
 
 # ---------------------------------------------------------------------------

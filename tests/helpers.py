@@ -290,6 +290,30 @@ def numeric_gradients(model, params, windows, slot_ids, adjacencies, targets,
     return grads
 
 
+def central_difference(fn, array: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """d(fn)/d(array) by central differences, one element at a time.
+
+    `fn()` returns (value, regime), where regime is a byte fingerprint of
+    the side of every ReLU / leaky-ReLU kink the evaluation took. `array`
+    is perturbed in place and restored. An element whose two evaluations
+    take different regimes straddles a kink, where the quotient estimates
+    no derivative; it comes back NaN, as in `numeric_gradients`.
+    """
+    flat = array.reshape(-1)
+    assert np.shares_memory(flat, array), "central_difference needs a contiguous array"
+    grad = np.full(flat.shape, np.nan)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + step
+        hi, regime_hi = fn()
+        flat[i] = keep - step
+        lo, regime_lo = fn()
+        flat[i] = keep
+        if regime_hi == regime_lo:
+            grad[i] = (hi - lo) / (2.0 * step)
+    return grad.reshape(np.shape(array))
+
+
 def grad_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """L2 relative error between two gradient vectors."""
     analytic = np.asarray(analytic, dtype=np.float64).ravel()

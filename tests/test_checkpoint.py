@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from pgad import cli
 from pgad.checkpoint import (
+    CHECKPOINT_VERSION,
     checkpoint_from_result,
     load_checkpoint,
     save_checkpoint,
@@ -82,6 +84,15 @@ class TestRejection:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [[1, 2], {"version": CHECKPOINT_VERSION, "model": [1]}],
+                             ids=["meta-list", "model-list"])
+    def test_non_object_meta_exits_two(self, tmp_path, meta):
+        path = tmp_path / "model.npz"
+        np.savez_compressed(path, meta=np.array(json.dumps(meta)))
+        with pytest.raises(DataError, match="not a JSON object"):
+            load_checkpoint(path)
+        assert cli.main(["graph", str(path), "--out-dir", str(tmp_path)]) == 2
 
     def test_version_mismatch(self, trained, tmp_path):
         path = self.save(trained, tmp_path)

@@ -728,6 +728,25 @@ class TestConfigCommand:
     def test_unknown_action_exits_one(self):
         assert cli.main(["config", "explain"]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.7), ("window", True), ("threads", False), ("ma_window", 1.5),
+        ("epochs", float("inf")), ("lr", True), ("anomaly_rate", False),
+        ("kernel_sizes", [True, 3]),
+    ])
+    def test_bool_or_fractional_number_exits_one(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))  # an Infinity literal, too
+        assert cli.main(["config", "show", "--config", str(cfg)]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_whole_numbers_keep_their_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 3.0, "lr": 1}))
+        assert cli.main(["config", "show", "--config", str(cfg)]) == 0
+        effective = json.loads(capsys.readouterr().out)
+        assert effective["epochs"] == 3 and isinstance(effective["epochs"], int)
+        assert effective["lr"] == 1.0 and isinstance(effective["lr"], float)
+
     def test_bad_value_type_exits_one(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"point_adjust": "yes"}))

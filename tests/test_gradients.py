@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pgad.training import l2_loss
+from pgad.training import clip_gradients, l2_loss
 
 from helpers import (
     analytic_gradients,
@@ -84,3 +84,23 @@ class TestGradientStructure:
         b = analytic_gradients(*inst)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+    def test_clipping_reaches_every_grad_and_no_grad_shares_memory(self):
+        config = tiny_model_config(window=16, tcn_layers=2, slots=3)
+        inst = random_instance(64, config, batch=5)
+        params = inst[1]
+        grads = analytic_gradients(*inst)
+        assert list(grads) == list(params)
+        before = {name: g.copy() for name, g in grads.items()}
+        norm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+        assert clip_gradients(grads, norm / 4) == pytest.approx(norm, rel=1e-12)
+        clipped = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+        assert clipped == pytest.approx(norm / 4, rel=1e-12)
+        assert before["mlp_b2"] != 0.0
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, before[name] / 4, rtol=1e-12, atol=0)
+        arrays = list(grads.items())
+        for i, (name, g) in enumerate(arrays):
+            assert not any(np.shares_memory(g, p) for p in params.values()), name
+            for other, h in arrays[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)

@@ -16,20 +16,27 @@ from pgad.model import (
     Model,
     ModelConfig,
     _alpha_order_mix,
+    attention_backward,
     attention_coefficients,
     conv_stack,
+    conv_stack_backward,
     fuse_and_predict,
+    fuse_and_predict_backward,
     mix_order,
     predict_chunks,
     project_input,
+    project_input_backward,
     spatial_aggregate,
+    spatial_aggregate_backward,
 )
 from pgad.training import build_adjacencies, l2_loss
 
 from helpers import (
+    central_difference,
     dense_ordered_mix,
     dilated_conv,
     einsum_conv_stack,
+    grad_rel_err,
     permutation_mismatches,
     random_instance,
     series_windows,
@@ -40,6 +47,16 @@ from helpers import (
 
 def leaky(x, slope=0.2):
     return x if x > 0 else slope * x
+
+
+def assert_matches_differences(analytic, loss, array):
+    """A block backward's grad of `array` against central differences of
+    `loss`, away from the activation kinks."""
+    numeric = central_difference(loss, array)
+    valid = np.isfinite(numeric)
+    assert analytic.shape == numeric.shape
+    assert valid.mean() >= 0.9
+    assert grad_rel_err(analytic[valid], numeric[valid]) <= 1e-6
 
 
 class TestProjectInput:
@@ -68,6 +85,20 @@ class TestProjectInput:
         np.testing.assert_allclose(
             project_input(window, weight, bias), expected, atol=1e-9
         )
+
+    def test_backward_matches_central_differences(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(3, 4, 6))
+        weight, bias = rng.normal(size=(5, 6)), rng.normal(size=5)
+        upstream = rng.normal(size=(3, 4, 5))
+        d_weight, d_bias, d_x = project_input_backward(x, weight, upstream)
+
+        def loss():
+            return float((project_input(x, weight, bias) * upstream).sum()), b""
+
+        for analytic, array in ((d_weight, weight), (d_bias, bias), (d_x, x)):
+            assert_matches_differences(analytic, loss, array)
+        assert project_input_backward(x, weight, upstream, input_grad=False)[2] is None
 
 
 class TestAttention:
@@ -125,6 +156,22 @@ class TestAttention:
             outside = ~((adj.T > 0) | np.eye(n, dtype=bool))
             np.testing.assert_array_equal(alpha[outside], 0.0)
 
+    def test_backward_matches_central_differences(self):
+        rng = np.random.default_rng(21)
+        emb = rng.normal(size=(6, 3))
+        att_w, att_a = rng.normal(size=(4, 3)), rng.normal(size=8)
+        adj = topk_adjacency(cosine_similarity(emb), 3)
+        upstream = rng.normal(size=(6, 6))
+        att = attention_coefficients(emb, adj, att_w, att_a, 0.3)
+        d_att_w, d_att_a, d_emb = attention_backward(att, upstream, emb, att_w, att_a, 0.3)
+
+        def loss():
+            out = attention_coefficients(emb, adj, att_w, att_a, 0.3)
+            return float((out["alpha"] * upstream).sum()), (out["raw"] > 0).tobytes()
+
+        for analytic, array in ((d_att_w, att_w), (d_att_a, att_a), (d_emb, emb)):
+            assert_matches_differences(analytic, loss, array)
+
 
 def aggregate_one_window(x, alpha, w):
     """`spatial_aggregate` of one (N, d) window, alone in its phase slot."""
@@ -163,6 +210,32 @@ class TestGraphAttentionForward:
         w = rng.normal(size=(3, 4))
         alpha = np.full((5, 5), 0.2)
         assert aggregate_one_window(x, alpha, w).min() >= 0.0
+
+    def test_backward_matches_central_differences(self):
+        rng = np.random.default_rng(22)
+        x_proj, att_w = rng.normal(size=(6, 5, 4)), rng.normal(size=(3, 4))
+        rows = [np.array([0, 2, 3]), np.array([1, 4, 5])]
+        alphas = []
+        for _ in rows:
+            emb = rng.normal(size=(5, 3))
+            alphas.append(attention_coefficients(
+                emb, topk_adjacency(cosine_similarity(emb), 2), np.eye(3), rng.normal(size=6)
+            )["alpha"])
+        upstream = rng.normal(size=(6, 5, 3))
+
+        def forward():
+            return spatial_aggregate(x_proj, [mix_order(a) for a in alphas], att_w, rows)
+
+        d_att_w, d_x_proj, d_alphas = spatial_aggregate_backward(
+            forward(), x_proj, alphas, rows, att_w, upstream)
+
+        def loss():
+            out = forward()
+            return float((out["h_s"] * upstream).sum()), out["s_mask"].tobytes()
+
+        pairs = [(d_att_w, att_w), (d_x_proj, x_proj), *zip(d_alphas, alphas)]
+        for analytic, array in pairs:
+            assert_matches_differences(analytic, loss, array)
 
 
 class TestDilatedConv:
@@ -271,6 +344,32 @@ class TestTemporalModule:
                 for key in ("dilation", "base", "out_len"):
                     assert got[key] == want[key]
 
+    @pytest.mark.parametrize("layers, dilation, kernels", [
+        (1, 1, (2, 3, 5)),
+        (2, 2, (1, 3)),  # short kernels leave zero-padded tap columns
+    ])
+    def test_backward_matches_central_differences(self, layers, dilation, kernels):
+        rng = np.random.default_rng(23)
+        filter_layers, in_ch = [], 1
+        for _ in range(layers):
+            filter_layers.append({c: rng.normal(size=(2, in_ch, c)) for c in kernels})
+            in_ch = 2 * len(kernels)
+        span = sum(dilation * (1 << l) * (max(kernels) - 1) for l in range(layers))
+        window = rng.normal(size=(2, 3, span + 4))
+        out = conv_stack(window, filter_layers, dilation)
+        upstream = rng.normal(size=out["t_flat"].shape)
+        grads = conv_stack_backward(out["conv"], filter_layers, upstream.copy())
+
+        def loss():
+            out = conv_stack(window, filter_layers, dilation)
+            regime = b"".join(layer["mask"].tobytes() for layer in out["conv"])
+            return float((out["t_flat"] * upstream).sum()), regime
+
+        assert [sorted(g) for g in grads] == [sorted(f) for f in filter_layers]
+        for layer_grads, filters in zip(grads, filter_layers):
+            for c, analytic in layer_grads.items():
+                assert_matches_differences(analytic, loss, filters[c])
+
 
 class TestFuseAndPredict:
     def base_params(self, rng, fused_dim, hidden=4):
@@ -317,6 +416,32 @@ class TestFuseAndPredict:
         np.testing.assert_allclose(
             fuse_and_predict(h_s, h_t, params)["pred"], expected, atol=1e-9
         )
+
+    @pytest.mark.parametrize("t_dim", [3, 0])
+    def test_backward_matches_central_differences(self, t_dim):
+        rng = np.random.default_rng(24 + t_dim)
+        params = self.base_params(rng, 4 + t_dim, hidden=6)
+        params["ln_gain"] = rng.normal(size=4 + t_dim)
+        params["ln_bias"] = rng.normal(size=4 + t_dim)
+        params["mlp_b2"] = np.array(0.3)
+        h_s = rng.normal(size=(3, 5, 4))
+        h_t = rng.normal(size=(3, 5, t_dim)) if t_dim else None
+        upstream = rng.normal(size=(3, 5))
+        grads, d_h_s, d_h_t = fuse_and_predict_backward(
+            fuse_and_predict(h_s, h_t, params), upstream, params, t_dim)
+
+        def loss():
+            out = fuse_and_predict(h_s, h_t, params)
+            return float((out["pred"] * upstream).sum()), out["z1_mask"].tobytes()
+
+        assert set(grads) == set(params)
+        pairs = [(grads[name], params[name]) for name in params] + [(d_h_s, h_s)]
+        if t_dim:
+            pairs.append((d_h_t, h_t))
+        else:
+            assert d_h_t is None
+        for analytic, array in pairs:
+            assert_matches_differences(analytic, loss, array)
 
 
 class TestModelForward:
