@@ -10,13 +10,17 @@ own steps once, with BLAS pinned to one thread: `synth`, then `train` (on
 the training tail for a score-only workload) and `score`. The outputs are
 then compared: every checkpoint array, the checkpoint meta without the
 wall-clock fields (`wall_clock_seconds` and each epoch's `seconds`), the
-loss curve, the scores CSV and the metrics JSON. Prints one line per
-workload and seed; at the first difference it names it and exits 1.
+loss curve, the scores CSV and the metrics JSON. Prints one verdict per
+workload and seed: "identical", or the first output that differs and,
+when the scores CSV differs, how far: max |Δscore|, max |Δsmoothed|, the
+number of `label_pred` values that differ, and F1 and the flagged count
+on each side. Runs every workload and seed, then exits 1 if any differed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import shutil
@@ -89,6 +93,27 @@ def text_difference(parent: Path, change: Path) -> str | None:
     return f"length ({len(lines_a)} vs {len(lines_b)} lines)"
 
 
+def score_drift(parent: dict[str, Path], change: dict[str, Path]) -> str:
+    """How far the change's scores CSV and metrics moved from the parent's."""
+    columns = []
+    for side in (parent, change):
+        with open(side["scores.csv"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        columns.append({key: np.array([float(row[key]) for row in rows])
+                        for key in ("score", "smoothed", "label_pred")})
+    a, b = columns
+    if a["score"].size != b["score"].size:
+        return f"{a['score'].size} vs {b['score'].size} rows"
+    metrics = [json.loads(side["metrics.json"].read_text()) for side in (parent, change)]
+    f1 = [m.get("metrics", {}).get("f1") for m in metrics]
+    flagged = [m["n_flagged"] for m in metrics]
+    return (f"max |Δscore| {np.abs(a['score'] - b['score']).max():.3g}, "
+            f"max |Δsmoothed| {np.abs(a['smoothed'] - b['smoothed']).max():.3g}, "
+            f"label_pred differs in {int((a['label_pred'] != b['label_pred']).sum())} "
+            f"of {a['score'].size} rows; f1 {f1[0]} -> {f1[1]}, "
+            f"flagged {flagged[0]} -> {flagged[1]}")
+
+
 def first_difference(parent: dict[str, Path], change: dict[str, Path]) -> str | None:
     for name, path in parent.items():
         compare = checkpoint_difference if name == "checkpoint" else text_difference
@@ -119,23 +144,34 @@ def main(argv=None) -> int:
     try:
         sha = export_revision(args.parent, work / "parent-tree")
         print(f"parent {sha[:12]} vs the working tree")
+        runs = differing = 0
         for name, workload in perfbench.WORKLOADS.items():
             for seed in args.seeds:
                 outputs = {side: run_steps(root, work / f"{name}-{seed}" / side, workload, seed)
                            for side, root in (("parent", work / "parent-tree"),
                                               ("change", ROOT))}
+                runs += 1
                 where = first_difference(outputs["parent"], outputs["change"])
-                if where is not None:
-                    print(f"{name} seed {seed}: DIFFERENT at {where}")
-                    return 1
-                print(f"{name} seed {seed}: identical ({', '.join(outputs['parent'])})",
-                      flush=True)
+                if where is None:
+                    print(f"{name} seed {seed}: identical ({', '.join(outputs['parent'])})",
+                          flush=True)
+                    continue
+                differing += 1
+                verdict = f"{name} seed {seed}: DIFFERENT at {where}"
+                if text_difference(outputs["parent"]["scores.csv"],
+                                   outputs["change"]["scores.csv"]) is not None:
+                    verdict += "; scores.csv: " + score_drift(outputs["parent"],
+                                                              outputs["change"])
+                print(verdict, flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
         try:
             BUILD_DIR.rmdir()
         except OSError:
             pass
+    if differing:
+        print(f"{differing} of {runs} workload and seed runs differ")
+        return 1
     print("no difference")
     return 0
 

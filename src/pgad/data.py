@@ -58,6 +58,10 @@ class SeriesMatrix:
             raise DataError(
                 f"got {len(self.sensor_names)} sensor names for {n} sensors"
             )
+        if len(set(self.sensor_names)) != n:
+            repeated = sorted({name for name in self.sensor_names
+                               if self.sensor_names.count(name) > 1})
+            raise DataError(f"duplicate sensor names {repeated}")
         if self.labels is not None:
             labels = np.asarray(self.labels)
             if labels.shape != (t,):

@@ -10,7 +10,10 @@ two-layer MLP to one next-step prediction per sensor.
 
 Each forward block has its backward beside it; `conv_stack` keeps each
 layer's tap and stacked filter matrices for it, and `Model.backward` only
-composes the blocks in reverse order.
+composes the blocks in reverse order. A training step that runs several
+forwards takes each slot's attention coefficients once
+(`Model.slot_attention`) and runs their backward once, on the summed
+d(loss)/d(alpha) (`Model.attention_grads`).
 
 Adjacency patterns are treated as constants: gradients flow into the
 embeddings only through the attention logits. The softmax denominator
@@ -400,21 +403,27 @@ def fuse_and_predict_backward(saved, d_pred, params, t_dim: int):
 # ---------------------------------------------------------------------------
 # full model
 
-# Rows (windows x sensors) per chunk of `Model.predict`. Every block's
-# intermediates scale with the rows, so a chunk of max(1, PREDICT_ROWS // N)
-# windows keeps them about the same size at any N: 64 windows at N=8, 10 at
-# N=51.
+# Rows (windows x sensors) per chunk of `Model.predict` and per training
+# micro-batch. Every block's intermediates scale with the rows, so a chunk
+# of `windows_per_chunk(N)` windows keeps them about the same size at any
+# N: 64 windows at N=8, 10 at N=51.
 PREDICT_ROWS = 512
+
+
+def windows_per_chunk(n_sensors: int) -> int:
+    """The most windows in one predict chunk or training micro-batch:
+    max(1, PREDICT_ROWS // n_sensors)."""
+    return max(1, PREDICT_ROWS // n_sensors)
 
 
 def predict_chunks(starts: np.ndarray, n_sensors: int, window: int):
     """(lo, hi) bounds of `Model.predict`'s chunks over ascending `starts`.
 
-    A chunk holds at most max(1, PREDICT_ROWS // n_sensors) windows, and
-    its span of the series at most that many windows' length, so windows
+    A chunk holds at most `windows_per_chunk(n_sensors)` windows, and its
+    span of the series at most that many windows' length, so windows
     further apart than their length do not stretch the span conv.
     """
-    per_chunk = max(1, PREDICT_ROWS // n_sensors)
+    per_chunk = windows_per_chunk(n_sensors)
     lo = 0
     while lo < len(starts):
         reach = np.searchsorted(starts, starts[lo] + (per_chunk - 1) * window, side="right")
@@ -431,7 +440,8 @@ class ForwardTrace:
     windows, projected inputs, spatial and temporal features, and the
     LayerNorm and MLP activations. `groups` holds one dict per phase slot
     present in the batch: its batch row indices `idx`, the `slot` and the
-    slot's attention internals `att`.
+    slot's attention internals `att` (`Model.slot_attention`'s value,
+    which the traces of one training step share).
     """
 
     batch: dict
@@ -503,11 +513,18 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def _attention(self, slot: int, adjacencies, params) -> dict:
-        return attention_coefficients(
-            params[f"emb_{slot}"], adjacencies[slot], params["att_w"], params["att_a"],
-            self.config.leaky_slope,
-        )
+    def slot_attention(self, slots, adjacencies, params) -> dict[int, dict]:
+        """`attention_coefficients` of each phase slot in `slots`, with the
+        slot's `mix_order` of alpha added as `order`, keyed by slot."""
+        attention = {}
+        for slot in slots:
+            att = attention_coefficients(
+                params[f"emb_{slot}"], adjacencies[slot], params["att_w"], params["att_a"],
+                self.config.leaky_slope,
+            )
+            att["order"] = mix_order(att["alpha"])
+            attention[slot] = att
+        return attention
 
     def _filter_layers(self, params) -> list[dict]:
         cfg = self.config
@@ -534,12 +551,14 @@ class Model:
         values.update(fuse_and_predict(values["h_s"], h_t, params, self.config.ln_eps))
         return values
 
-    def forward(self, windows, slot_ids, adjacencies, params):
+    def forward(self, windows, slot_ids, adjacencies, params, attention=None):
         """windows (B, N, w); slot_ids (B,); adjacencies: one per slot.
 
         Every block runs once over the whole batch except the attention
         coefficients and the neighbour mix, which run once per phase slot
         present and write their rows into one (B, N, F) buffer.
+        `attention` holds `slot_attention`'s values for at least the slots
+        present; without it they are computed here.
         Returns (predictions (B, N), ForwardTrace).
         """
         cfg = self.config
@@ -550,14 +569,13 @@ class Model:
                 f"windows shaped {windows.shape}, expected "
                 f"(B, {cfg.n_sensors}, {cfg.window})"
             )
-        groups = [
-            {"idx": np.flatnonzero(slot_ids == slot), "slot": slot,
-             "att": self._attention(slot, adjacencies, params)}
-            for slot in np.unique(slot_ids).tolist()
-        ]
+        present = np.unique(slot_ids).tolist()
+        if attention is None:
+            attention = self.slot_attention(present, adjacencies, params)
+        groups = [{"idx": np.flatnonzero(slot_ids == slot), "slot": slot,
+                   "att": attention[slot]} for slot in present]
         values = self._spatial(
-            windows, [mix_order(g["att"]["alpha"]) for g in groups],
-            [g["idx"] for g in groups], params,
+            windows, [g["att"]["order"] for g in groups], [g["idx"] for g in groups], params,
         )
         conv = None
         if cfg.use_temporal:
@@ -596,8 +614,8 @@ class Model:
             raise ValueError("windows must lie within the series")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        orders = {slot: mix_order(self._attention(slot, adjacencies, params)["alpha"])
-                  for slot in np.unique(slot_ids).tolist()}
+        orders = {slot: att["order"] for slot, att in self.slot_attention(
+            np.unique(slot_ids).tolist(), adjacencies, params).items()}
         filter_layers = self._filter_layers(params) if cfg.use_temporal else None
         out = np.empty((starts.size, cfg.n_sensors))
 
@@ -635,12 +653,18 @@ class Model:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, trace: ForwardTrace, d_preds, params):
+    def backward(self, trace: ForwardTrace, d_preds, params, d_alphas=None):
         """Gradients for every parameter given d(loss)/d(predictions).
 
-        Composes the blocks' backwards in the reverse order of `forward`;
-        sums the att_w, att_a and embedding grads over the slot groups and
-        gives slots absent from the batch zero embedding grads.
+        Composes the blocks' backwards in the reverse order of `forward`,
+        then `attention_grads` on the trace's slot groups.
+
+        Given a dict `d_alphas`, it stops before the attention
+        coefficients: it adds each slot's d(loss)/d(alpha) into
+        d_alphas[slot] and returns every grad but att_a's and the
+        embeddings', with att_w's through the neighbour mix only. One
+        `attention_grads` call then completes the grads of any number of
+        such traces.
         """
         if not trace.groups:
             raise ValueError("backward called without a forward trace")
@@ -654,21 +678,40 @@ class Model:
             layers = conv_stack_backward(saved["conv"], self._filter_layers(params), d_t_flat)
             for l, layer_grads in enumerate(layers):
                 grads.update({f"conv{l}_k{c}": grad for c, grad in layer_grads.items()})
-        d_att_w_mix, d_x_proj, d_alphas = spatial_aggregate_backward(
+        grads["att_w"], d_x_proj, group_d_alphas = spatial_aggregate_backward(
             saved, saved["x_proj"], [g["att"]["alpha"] for g in groups],
             [g["idx"] for g in groups], params["att_w"], d_h_s)
         grads["proj_w"], grads["proj_b"], _ = project_input_backward(
             saved["window"], params["proj_w"], d_x_proj, input_grad=False)
-        grads["att_w"] = np.zeros_like(params["att_w"])
-        grads["att_a"] = np.zeros_like(params["att_a"])
-        for group, d_alpha in zip(groups, d_alphas):
-            emb = f"emb_{group['slot']}"
+        if d_alphas is None:
+            return self.attention_grads(
+                grads, {g["slot"]: g["att"] for g in groups},
+                {g["slot"]: d_alpha for g, d_alpha in zip(groups, group_d_alphas)}, params)
+        for group, d_alpha in zip(groups, group_d_alphas):
+            if group["slot"] in d_alphas:
+                d_alphas[group["slot"]] += d_alpha
+            else:
+                d_alphas[group["slot"]] = d_alpha
+        return grads
+
+    def attention_grads(self, grads, attention, d_alphas, params):
+        """Completes `backward`'s grads: the att_w, att_a and embedding
+        grads of each slot in `attention` (`slot_attention`'s values) from
+        d_alphas[slot], one `attention_backward` per slot. att_w's grad
+        sums the slots' terms in `attention`'s order, then the neighbour
+        mix's grads["att_w"]. Slots not in `attention` get zero embedding
+        grads. Returns the grads in `params` order."""
+        att_w = np.zeros_like(params["att_w"])
+        att_a = np.zeros_like(params["att_a"])
+        for slot, att in attention.items():
+            emb = f"emb_{slot}"
             d_att_w, d_att_a, grads[emb] = attention_backward(
-                group["att"], d_alpha, params[emb], params["att_w"], params["att_a"],
-                cfg.leaky_slope)
-            grads["att_w"] += d_att_w
-            grads["att_a"] += d_att_a
-        grads["att_w"] += d_att_w_mix
-        for slot in range(cfg.slots):
+                att, d_alphas[slot], params[emb], params["att_w"], params["att_a"],
+                self.config.leaky_slope)
+            att_w += d_att_w
+            att_a += d_att_a
+        att_w += grads["att_w"]
+        grads["att_w"], grads["att_a"] = att_w, att_a
+        for slot in range(self.config.slots):
             grads.setdefault(f"emb_{slot}", np.zeros_like(params[f"emb_{slot}"]))
         return {name: grads[name] for name in params}

@@ -232,8 +232,10 @@ def score_series(
     Window phase is tracked globally: a window starting at local index s
     sits at absolute time train_length + s for slot assignment. Scores
     exist for t >= window (no window crosses the train/test boundary).
-    `workers` is `Model.predict`'s thread count; the scores do not
-    depend on it.
+    The test sensors are matched to the checkpoint's by name, so columns
+    in another order score as if in the training order; a missing or
+    unexpected name is a DataError. `workers` is `Model.predict`'s thread
+    count; the scores do not depend on it.
     """
     if threshold_mode not in THRESHOLD_MODES:
         raise ConfigError(f"unknown threshold mode {threshold_mode!r}")
@@ -244,6 +246,15 @@ def score_series(
         raise DataError(
             f"test series has {test.n_sensors} sensors, model expects {config.n_sensors}"
         )
+    names = checkpoint.meta["sensor_names"]
+    if test.sensor_names != names:
+        missing = [name for name in names if name not in test.sensor_names]
+        unexpected = [name for name in test.sensor_names if name not in names]
+        if missing or unexpected:
+            raise DataError(f"test sensors do not match the checkpoint's: missing {missing}, "
+                            f"unexpected {unexpected}")
+        order = [test.sensor_names.index(name) for name in names]
+        test = SeriesMatrix(test.values[order], names, test.labels)
 
     stats = checkpoint.normalization
     normalized = SeriesMatrix(stats.apply(test.values), test.sensor_names)

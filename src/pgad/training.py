@@ -6,6 +6,11 @@ epoch while windows are visited in a seeded shuffle. Validation is the
 chronological tail of the window set. The best-validation parameters are
 kept and restored at the end, and their absolute validation errors are
 returned for later score calibration.
+
+Each batch runs as micro-batches of at most `model.windows_per_chunk(N)`
+windows, the size of a predict chunk, one after another, so a step's
+forward trace stays about the same size at any N (`batch_step`). Their
+count depends only on the batch size and N.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .checkpoint import param_checksum
 from .data import NORMALIZATION_MODES, SeriesMatrix, fit_normalizer, make_windows
 from .errors import DataError, DivergenceError
 from .graph import cosine_similarity, topk_adjacency
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, windows_per_chunk
 from .period import PeriodProfile, detect_period
 
 log = logging.getLogger(__name__)
@@ -93,11 +98,37 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # loss and optimizer
 
-def l2_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. the predictions."""
-    diff = np.asarray(pred) - np.asarray(target)
-    loss = float(np.mean(diff * diff))
-    return loss, (2.0 / diff.size) * diff
+def batch_step(model: Model, windows, slot_ids, targets, adjacencies, params):
+    """Mean squared error of one batch (B, N, w) and its gradients.
+
+    The batch is cut evenly (`np.array_split`) into ceil(B / k) micro-batches
+    of at most k = `windows_per_chunk(N)` windows, run one after another.
+    Each slot's attention coefficients are taken once for the batch
+    (`Model.slot_attention`). Each micro-batch runs `forward` and
+    `backward` on its own, with d(loss)/d(pred) = (2 / (B * N)) * diff; its
+    grads and each slot's d(loss)/d(alpha) are summed in micro-batch order,
+    and the attention backward runs once per slot on that sum
+    (`Model.attention_grads`). The loss is the mean of the squared,
+    concatenated diffs. With one micro-batch this is exactly one `forward`
+    and `backward` of the whole batch.
+    """
+    n_batch, n_sensors = targets.shape
+    count = -(-n_batch // windows_per_chunk(n_sensors))
+    scale = 2.0 / targets.size
+    attention = model.slot_attention(np.unique(slot_ids).tolist(), adjacencies, params)
+    diffs, grads, d_alphas = [], None, {}
+    for part_windows, part_slots, part_targets in zip(
+            *(np.array_split(a, count) for a in (windows, slot_ids, targets))):
+        preds, trace = model.forward(part_windows, part_slots, adjacencies, params, attention)
+        diffs.append(preds - part_targets)
+        part_grads = model.backward(trace, scale * diffs[-1], params, d_alphas)
+        if grads is None:
+            grads = part_grads
+        else:
+            for name, grad in part_grads.items():
+                grads[name] += grad
+    diff = np.concatenate(diffs)
+    return float(np.mean(diff * diff)), model.attention_grads(grads, attention, d_alphas, params)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -284,12 +315,11 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
             loss_sum = 0.0
             for lo in range(0, n_train, config.batch_size):
                 sel = order[lo : lo + config.batch_size]
-                preds, trace = model.forward(train_w[sel], train_s[sel], adjacencies, params)
-                loss, dpred = l2_loss(preds, train_t[sel])
+                loss, grads = batch_step(model, train_w[sel], train_s[sel], train_t[sel],
+                                         adjacencies, params)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"loss became non-finite in epoch {epoch}")
                 loss_sum += loss * sel.size
-                grads = model.backward(trace, dpred, params)
                 clip_gradients(grads, config.grad_clip)
                 adam_step(params, grads, state, config.lr)
             train_loss = loss_sum / n_train

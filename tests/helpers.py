@@ -14,7 +14,15 @@ import numpy as np
 from pgad.data import SeriesMatrix
 from pgad.model import Model, ModelConfig
 from pgad.scoring import evaluate
-from pgad.training import build_adjacencies, l2_loss
+from pgad.training import build_adjacencies
+
+
+def l2_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error and its gradient w.r.t. the predictions, of one
+    whole batch: the loss `training.batch_step` computes."""
+    diff = np.asarray(pred) - np.asarray(target)
+    loss = float(np.mean(diff * diff))
+    return loss, (2.0 / diff.size) * diff
 
 
 def brute_spectrum(values: np.ndarray) -> np.ndarray:
@@ -246,10 +254,16 @@ def _loss_and_kink_signature(model, params, windows, slot_ids, adjacencies, targ
     return loss, b"".join(parts)
 
 
-def analytic_gradients(model, params, windows, slot_ids, adjacencies, targets):
+def whole_batch_step(model, params, windows, slot_ids, adjacencies, targets):
+    """Loss and grads of a batch from one `forward`, `l2_loss` and `backward`:
+    the oracle for `training.batch_step`."""
     preds, trace = model.forward(windows, slot_ids, adjacencies, params)
-    _, dpred = l2_loss(preds, targets)
-    return model.backward(trace, dpred, params)
+    loss, dpred = l2_loss(preds, targets)
+    return loss, model.backward(trace, dpred, params)
+
+
+def analytic_gradients(model, params, windows, slot_ids, adjacencies, targets):
+    return whole_batch_step(model, params, windows, slot_ids, adjacencies, targets)[1]
 
 
 def numeric_gradients(model, params, windows, slot_ids, adjacencies, targets,

@@ -346,6 +346,39 @@ class TestScore:
         assert written[1] == written[0]
         assert written[2] == written[0]
 
+    def test_swapped_sensor_columns_write_identical_files(self, cli_workspace, tmp_path):
+        rows = list(csv.reader((cli_workspace / "test.csv").open(newline="")))
+        assert rows[0][:2] == ["s0", "s1"]
+        swapped = tmp_path / "swapped.csv"
+        with swapped.open("w", newline="") as fh:
+            csv.writer(fh).writerows([row[1::-1] + row[2:] for row in rows])
+        written = []
+        for data in (cli_workspace / "test.csv", swapped):
+            scores, metrics = tmp_path / f"s-{data.stem}.csv", tmp_path / f"m-{data.stem}.json"
+            assert cli.main([
+                "score", str(cli_workspace / "checkpoint.npz"), str(data),
+                "--threshold", "best-f1", "--scores", str(scores), "--metrics", str(metrics),
+            ]) == 0
+            written.append((scores.read_bytes(), metrics.read_bytes()))
+        assert written[1] == written[0]
+
+    @pytest.mark.parametrize("header, message", [
+        ("s0,s1,s2,x3,label", "missing ['s3'], unexpected ['x3']"),
+        ("s0,s1,s0,s3,label", "duplicate sensor names ['s0']"),
+    ])
+    def test_unmatched_sensor_names_exit_two(self, cli_workspace, tmp_path, capsys,
+                                             header, message):
+        lines = (cli_workspace / "test.csv").read_text().splitlines(keepends=True)
+        data = tmp_path / "test.csv"
+        data.write_text(header + "\n" + "".join(lines[1:]))
+        code = cli.main([
+            "score", str(cli_workspace / "checkpoint.npz"), str(data),
+            "--scores", str(tmp_path / "s.csv"), "--metrics", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_zero_threads_means_one_per_available_cpu_up_to_the_cap(self, monkeypatch):
         args = cli.build_parser().parse_args(["score", "m.npz", "d.csv", "--threads", "0"])
         for cpus, expected in ((1, 1), (2, 2), (64, cli.DEFAULT_THREADS_CAP)):

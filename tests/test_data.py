@@ -46,6 +46,12 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="b"):
             ingest_csv(path)
 
+    def test_duplicate_sensor_names_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,a,label\n1.0,2.0,3.0,0\n1.5,2.5,3.5,1\n")
+        with pytest.raises(DataError, match=r"duplicate sensor names \['a'\]"):
+            ingest_csv(path)
+
     def test_too_short_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("a,b\n1.0,2.0\n")
@@ -211,3 +217,7 @@ class TestSeriesMatrix:
     def test_mismatched_names_rejected(self):
         with pytest.raises(DataError):
             SeriesMatrix(np.zeros((2, 5)), ["only_one"])
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(DataError, match="duplicate"):
+            SeriesMatrix(np.zeros((3, 5)), ["a", "b", "b"])

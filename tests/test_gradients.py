@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from pgad.training import clip_gradients, l2_loss
+from pgad.training import clip_gradients
 
 from helpers import (
     analytic_gradients,
+    l2_loss,
     random_instance,
     tiny_model_config,
     worst_gradient_error,

@@ -29,7 +29,7 @@ from pgad.model import (
     spatial_aggregate,
     spatial_aggregate_backward,
 )
-from pgad.training import build_adjacencies, l2_loss
+from pgad.training import batch_step, build_adjacencies
 
 from helpers import (
     central_difference,
@@ -37,6 +37,7 @@ from helpers import (
     dilated_conv,
     einsum_conv_stack,
     grad_rel_err,
+    l2_loss,
     permutation_mismatches,
     random_instance,
     series_windows,
@@ -809,6 +810,38 @@ class TestPermutationExactness:
     @pytest.mark.parametrize("n", [8, 51])
     def test_predict_equivariant_on_two_workers(self, n):
         assert predict_permutes_output(n, workers=2)
+
+    def test_micro_batched_step_permutes_its_predictions(self):
+        """At N=51 a batch of 32 runs as four micro-batches; each one's
+        predictions permute bit for bit. The grads sum over the sensors, so
+        they permute only to rounding, as the whole-batch step's do."""
+        config = tiny_model_config(n_sensors=51, window=32, embed_dim=16, spatial_dim=16,
+                                   temporal_dim=8, hidden_dim=32, slots=3)
+        model, params, windows, slot_ids, adjacencies, targets = random_instance(
+            51, config, batch=32, k=15)
+        preds = []
+        forward = model.forward
+
+        def recording(*args):
+            out = forward(*args)
+            preds.append(out[0])
+            return out
+
+        model.forward = recording
+        _, grads = batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        perm = np.random.default_rng(51).permutation(51)
+        p_params = dict(params)
+        for s in range(config.slots):
+            p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
+        p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
+        _, p_grads = batch_step(model, windows[:, perm], slot_ids, targets[:, perm], p_adj,
+                                p_params)
+        assert len(preds) == 8
+        for base, moved in zip(preds[:4], preds[4:]):
+            np.testing.assert_array_equal(moved, base[:, perm])
+        for name, grad in grads.items():
+            want = grad[perm] if name.startswith("emb_") else grad
+            assert grad_rel_err(p_grads[name], want) <= 1e-12, name
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_forward_equivariant_with_pinned_blas_threads(self, threads):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgad.checkpoint import checkpoint_from_result
-from pgad.data import generate_synthetic
+from pgad.data import SeriesMatrix, generate_synthetic
 from pgad.errors import ConfigError, DataError
 from pgad.scoring import (
     IQR_EPS,
@@ -343,6 +343,27 @@ class TestScoreSeries:
         smaller = generate_synthetic(3, 200, 24, 0.0, seed=0)
         with pytest.raises(DataError):
             score_series(ckpt, smaller)
+
+    def test_reordered_sensor_columns_score_as_in_training_order(self, pipeline):
+        ckpt, test_part = pipeline
+        order = [1, 3, 0, 2]
+        shuffled = SeriesMatrix(test_part.values[order],
+                                [test_part.sensor_names[i] for i in order], test_part.labels)
+        for mode in ("max_validation", "best_f1"):
+            base, base_report = score_series(ckpt, test_part, threshold_mode=mode)
+            moved, moved_report = score_series(ckpt, shuffled, threshold_mode=mode)
+            for field in ("errors", "scores", "smoothed", "top_sensor", "labels_pred"):
+                np.testing.assert_array_equal(getattr(moved, field), getattr(base, field))
+            assert moved_report == base_report
+
+    def test_renamed_sensor_rejected_naming_both_sides(self, pipeline):
+        ckpt, test_part = pipeline
+        names = list(test_part.sensor_names)
+        names[2] = "intruder"
+        renamed = SeriesMatrix(test_part.values, names, test_part.labels)
+        with pytest.raises(DataError,
+                           match=r"missing \['s2'\], unexpected \['intruder'\]"):
+            score_series(ckpt, renamed)
 
     def test_best_f1_beats_other_modes(self, pipeline):
         ckpt, test_part = pipeline

@@ -9,22 +9,36 @@ import pytest
 
 from pgad.data import generate_synthetic
 from pgad.errors import DataError, DivergenceError
-from pgad.model import Model
+from pgad import model as model_module
+from pgad.model import (
+    PREDICT_ROWS,
+    Model,
+    attention_backward,
+    attention_coefficients,
+)
 from pgad.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    batch_step,
     build_adjacencies,
     clip_gradients,
     grid_search,
-    l2_loss,
     param_checksum,
     pool_map,
     slot_ids_for_windows,
     train,
 )
 
-from helpers import analytic_gradients, assign_slot, random_instance, tiny_model_config
+from helpers import (
+    analytic_gradients,
+    assign_slot,
+    grad_rel_err,
+    l2_loss,
+    random_instance,
+    tiny_model_config,
+    whole_batch_step,
+)
 
 SMALL_CONFIG = TrainConfig(
     window=24, neighbors=3, slots=2, epochs=6, patience=6, batch_size=32,
@@ -37,6 +51,8 @@ def small_series(seed=1, n=4, length=480):
 
 
 class TestL2Loss:
+    """The whole-batch loss of `helpers.l2_loss`, the oracle of `batch_step`."""
+
     def test_perfect_prediction_is_zero(self):
         loss, grad = l2_loss(np.ones((2, 3)), np.ones((2, 3)))
         assert loss == 0.0
@@ -258,6 +274,128 @@ class TestTrainLoop:
             train(small_series(), config)
         assert err.value.report is not None
         assert err.value.report.epochs
+
+
+def step_instance(n, batch, seed=0):
+    config = tiny_model_config(n_sensors=n, window=16, embed_dim=8, spatial_dim=8,
+                               temporal_dim=8, hidden_dim=16, slots=3)
+    return random_instance(seed, config, batch=batch, k=5)
+
+
+def recorded_forward_sizes(model):
+    """Makes `model.forward` record the window count of every call."""
+    sizes = []
+    forward = model.forward
+
+    def recording(windows, *args):
+        sizes.append(len(windows))
+        return forward(windows, *args)
+
+    model.forward = recording
+    return sizes
+
+
+class TestBatchStep:
+    @pytest.mark.parametrize("n, batch, sizes", [
+        (8, 32, [32]),
+        (8, 65, [33, 32]),
+        (51, 10, [10]),
+        (51, 11, [6, 5]),
+        (51, 32, [8, 8, 8, 8]),
+        (PREDICT_ROWS + 1, 3, [1, 1, 1]),
+    ])
+    def test_micro_batches_are_cut_from_batch_and_sensor_count(self, n, batch, sizes):
+        model, params, windows, slot_ids, adjacencies, targets = step_instance(n, batch)
+        seen = recorded_forward_sizes(model)
+        batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        assert seen == sizes
+
+    @pytest.mark.parametrize("n, batch", [(4, 3), (8, 32), (51, 10)])
+    def test_one_micro_batch_is_the_whole_batch_step(self, n, batch):
+        model, params, windows, slot_ids, adjacencies, targets = step_instance(n, batch)
+        loss, grads = batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        want_loss, want = whole_batch_step(model, params, windows, slot_ids, adjacencies,
+                                           targets)
+        assert loss == want_loss
+        assert list(grads) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(grads[name], want[name])
+
+    @pytest.mark.parametrize("n, batch, count", [(51, 32, 4), (PREDICT_ROWS + 1, 3, 3)])
+    def test_grads_are_the_in_order_sum_of_micro_batches(self, n, batch, count):
+        """The block grads are the in-order sums of each micro-batch's
+        `Model.backward`; each slot's attention backward runs once, on the
+        in-order sum of its micro-batches' d(loss)/d(alpha)."""
+        model, params, windows, slot_ids, adjacencies, targets = step_instance(n, batch)
+        loss, grads = batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        diffs, summed, d_alphas, mix = [], {}, {}, np.zeros_like(params["att_w"])
+        for part in np.array_split(np.arange(batch), count):
+            preds, trace = model.forward(windows[part], slot_ids[part], adjacencies, params)
+            diffs.append(preds - targets[part])
+            d_pred = (2.0 / targets.size) * diffs[-1]
+            for name, grad in model.backward(trace, d_pred, params).items():
+                summed[name] = grad if name not in summed else summed[name] + grad
+            part_d_alphas = {}
+            mix += model.backward(trace, d_pred, params, part_d_alphas)["att_w"]
+            for slot, d_alpha in part_d_alphas.items():
+                d_alphas[slot] = d_alpha if slot not in d_alphas else d_alphas[slot] + d_alpha
+        diff = np.concatenate(diffs)
+        assert loss == float(np.mean(diff * diff))
+
+        want = {name: np.zeros_like(p) for name, p in params.items()
+                if name.startswith(("att_", "emb_"))}
+        for slot in sorted(d_alphas):
+            emb = f"emb_{slot}"
+            att = attention_coefficients(params[emb], adjacencies[slot], params["att_w"],
+                                         params["att_a"], model.config.leaky_slope)
+            d_att_w, d_att_a, want[emb] = attention_backward(
+                att, d_alphas[slot], params[emb], params["att_w"], params["att_a"],
+                model.config.leaky_slope)
+            want["att_w"] += d_att_w
+            want["att_a"] += d_att_a
+        want["att_w"] += mix
+        assert list(grads) == list(params)
+        for name in params:
+            np.testing.assert_array_equal(grads[name], want.get(name, summed[name]))
+            assert grad_rel_err(grads[name], summed[name]) <= 1e-12, name
+
+        whole_loss, whole = whole_batch_step(model, params, windows, slot_ids, adjacencies,
+                                             targets)
+        assert abs(loss - whole_loss) <= 1e-12 * whole_loss
+        for name in whole:
+            assert grad_rel_err(grads[name], whole[name]) <= 1e-12, name
+
+    def test_attention_runs_once_per_slot_per_step(self, monkeypatch):
+        model, params, windows, slot_ids, adjacencies, targets = step_instance(51, 32)
+        calls = {"attention_coefficients": 0, "attention_backward": 0}
+        for name in calls:
+            original = getattr(model_module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(model_module, name, counting)
+        batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        present = len(np.unique(slot_ids))
+        assert calls == {"attention_coefficients": present, "attention_backward": present}
+
+
+class TestMicroBatchedTraining:
+    def test_train_steps_run_in_micro_batches(self, monkeypatch):
+        # 51 sensors and batch 32 make four micro-batches of 8 windows per step
+        config = dataclasses.replace(SMALL_CONFIG, epochs=1, patience=1)
+        model_forward = Model.forward
+        sizes = []
+
+        def recording(self, windows, *args):
+            sizes.append(len(windows))
+            return model_forward(self, windows, *args)
+
+        monkeypatch.setattr(Model, "forward", recording)
+        train(small_series(n=51, length=240), config)
+        assert sizes[:4] == [8, 8, 8, 8]
+        assert max(sizes) == 8
 
 
 class TestTrainConfigValidation:
