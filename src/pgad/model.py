@@ -9,11 +9,12 @@ two features are concatenated, layer-normalized, and mapped through a
 two-layer MLP to one next-step prediction per sensor.
 
 Each forward block has its backward beside it; `conv_stack` keeps each
-layer's tap and stacked filter matrices for it, and `Model.backward` only
-composes the blocks in reverse order. A training step that runs several
-forwards takes each slot's attention coefficients once
-(`Model.slot_attention`) and runs their backward once, on the summed
-d(loss)/d(alpha) (`Model.attention_grads`).
+layer's tap and stacked filter matrices for it. `Model.backward` only
+composes the blocks in reverse order and adds their grads into the
+caller's zeroed arrays. A training step that runs several forwards takes
+each slot's attention coefficients once (`Model.slot_attention`) and runs
+their backward once, on the summed d(loss)/d(alpha)
+(`Model.attention_grads`).
 
 Adjacency patterns are treated as constants: gradients flow into the
 embeddings only through the attention logits. The softmax denominator
@@ -42,6 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# integer fields that must be >= 1; `window` and `kernel_sizes` are integers too
+_POSITIVE_FIELDS = ("n_sensors", "embed_dim", "spatial_dim", "channels", "temporal_dim",
+                    "hidden_dim", "dilation", "tcn_layers", "slots")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_sensors: int
@@ -60,14 +66,22 @@ class ModelConfig:
     ln_eps: float = 1e-5
 
     def validate(self) -> None:
-        if self.n_sensors < 1:
-            raise ValueError("n_sensors must be positive")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        for name in ("embed_dim", "spatial_dim", "channels", "temporal_dim",
-                     "hidden_dim", "dilation", "tcn_layers", "slots"):
+        for name in (*_POSITIVE_FIELDS, "window", "kernel_sizes"):
+            value = getattr(self, name)
+            if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                   for v in (value if name == "kernel_sizes" else [value])):
+                raise ValueError(f"{name} must be integer, got {value!r}")
+        if not isinstance(self.use_temporal, bool):
+            raise ValueError(f"use_temporal must be true or false, got {self.use_temporal!r}")
+        if not np.isfinite(self.leaky_slope):
+            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope!r}")
+        if not 0 < self.ln_eps < np.inf:  # NaN fails the comparison too
+            raise ValueError(f"ln_eps must be positive and finite, got {self.ln_eps!r}")
+        for name in _POSITIVE_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.window < 2:
+            raise ValueError("window must be >= 2")
         if not self.kernel_sizes:
             raise ValueError("need at least one kernel size")
         if list(self.kernel_sizes) != sorted(set(self.kernel_sizes)):
@@ -383,9 +397,8 @@ def fuse_and_predict_backward(saved, d_pred, params, t_dim: int):
     h_t, from the values `fuse_and_predict` returned and d(loss)/d(pred)
     (B, N). `t_dim` is h_t's width, 0 (and its grad None) without h_t."""
     d_pred = np.asarray(d_pred)
-    # mlp_b2's grad is a 0-d array, not a numpy scalar, so in-place clipping reaches it
     grads = {"mlp_w2": np.einsum("bn,bnh->h", d_pred, saved["r1"]),
-             "mlp_b2": np.array(d_pred.sum())}
+             "mlp_b2": d_pred.sum()}
     dz1 = (d_pred[..., None] * params["mlp_w2"]) * saved["z1_mask"]
     grads["mlp_w1"], grads["mlp_b1"], dy = project_input_backward(
         saved["y_ln"], params["mlp_w1"], dz1)
@@ -653,65 +666,46 @@ class Model:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, trace: ForwardTrace, d_preds, params, d_alphas=None):
-        """Gradients for every parameter given d(loss)/d(predictions).
-
-        Composes the blocks' backwards in the reverse order of `forward`,
-        then `attention_grads` on the trace's slot groups.
-
-        Given a dict `d_alphas`, it stops before the attention
-        coefficients: it adds each slot's d(loss)/d(alpha) into
-        d_alphas[slot] and returns every grad but att_a's and the
-        embeddings', with att_w's through the neighbour mix only. One
-        `attention_grads` call then completes the grads of any number of
-        such traces.
-        """
-        if not trace.groups:
-            raise ValueError("backward called without a forward trace")
+    def backward(self, trace: ForwardTrace, d_preds, params, grads, d_alphas) -> None:
+        """Composes the blocks' backwards in the reverse order of `forward`
+        from d(loss)/d(predictions): adds each block's grads into `grads`
+        (arrays shaped like `params`) and each slot's d(loss)/d(alpha) into
+        d_alphas[slot]. It stops before the attention coefficients, so
+        att_w gets the neighbour mix's term only. One `attention_grads` call
+        completes the grads that any number of traces added up."""
         cfg = self.config
         saved, groups = trace.batch, trace.groups
-        grads, d_h_s, d_h_t = fuse_and_predict_backward(
+        blocks, d_h_s, d_h_t = fuse_and_predict_backward(
             saved, d_preds, params, cfg.temporal_dim if cfg.use_temporal else 0)
         if cfg.use_temporal:
-            grads["tred_w"], grads["tred_b"], d_t_flat = project_input_backward(
+            blocks["tred_w"], blocks["tred_b"], d_t_flat = project_input_backward(
                 saved["t_flat"], params["tred_w"], d_h_t)
             layers = conv_stack_backward(saved["conv"], self._filter_layers(params), d_t_flat)
             for l, layer_grads in enumerate(layers):
-                grads.update({f"conv{l}_k{c}": grad for c, grad in layer_grads.items()})
-        grads["att_w"], d_x_proj, group_d_alphas = spatial_aggregate_backward(
+                blocks.update({f"conv{l}_k{c}": grad for c, grad in layer_grads.items()})
+        blocks["att_w"], d_x_proj, group_d_alphas = spatial_aggregate_backward(
             saved, saved["x_proj"], [g["att"]["alpha"] for g in groups],
             [g["idx"] for g in groups], params["att_w"], d_h_s)
-        grads["proj_w"], grads["proj_b"], _ = project_input_backward(
+        blocks["proj_w"], blocks["proj_b"], _ = project_input_backward(
             saved["window"], params["proj_w"], d_x_proj, input_grad=False)
-        if d_alphas is None:
-            return self.attention_grads(
-                grads, {g["slot"]: g["att"] for g in groups},
-                {g["slot"]: d_alpha for g, d_alpha in zip(groups, group_d_alphas)}, params)
+        for name, grad in blocks.items():
+            grads[name] += grad
         for group, d_alpha in zip(groups, group_d_alphas):
-            if group["slot"] in d_alphas:
-                d_alphas[group["slot"]] += d_alpha
-            else:
-                d_alphas[group["slot"]] = d_alpha
-        return grads
+            d_alphas[group["slot"]] += d_alpha
 
-    def attention_grads(self, grads, attention, d_alphas, params):
-        """Completes `backward`'s grads: the att_w, att_a and embedding
-        grads of each slot in `attention` (`slot_attention`'s values) from
-        d_alphas[slot], one `attention_backward` per slot. att_w's grad
-        sums the slots' terms in `attention`'s order, then the neighbour
-        mix's grads["att_w"]. Slots not in `attention` get zero embedding
-        grads. Returns the grads in `params` order."""
+    def attention_grads(self, grads, attention, d_alphas, params) -> None:
+        """Completes `backward`'s grads in place: adds the att_w, att_a and
+        embedding grads of each slot in `attention` (`slot_attention`'s
+        values), one `attention_backward` of d_alphas[slot] per slot. The
+        slots' att_w terms are summed in `attention`'s order, then added to
+        the neighbour mix's term. Absent slots' embedding grads stay zero."""
         att_w = np.zeros_like(params["att_w"])
-        att_a = np.zeros_like(params["att_a"])
         for slot, att in attention.items():
             emb = f"emb_{slot}"
-            d_att_w, d_att_a, grads[emb] = attention_backward(
+            d_att_w, d_att_a, d_emb = attention_backward(
                 att, d_alphas[slot], params[emb], params["att_w"], params["att_a"],
                 self.config.leaky_slope)
             att_w += d_att_w
-            att_a += d_att_a
-        att_w += grads["att_w"]
-        grads["att_w"], grads["att_a"] = att_w, att_a
-        for slot in range(self.config.slots):
-            grads.setdefault(f"emb_{slot}", np.zeros_like(params[f"emb_{slot}"]))
-        return {name: grads[name] for name in params}
+            grads["att_a"] += d_att_a
+            grads[emb] += d_emb
+        grads["att_w"] += att_w

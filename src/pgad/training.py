@@ -11,6 +11,10 @@ Each batch runs as micro-batches of at most `model.windows_per_chunk(N)`
 windows, the size of a predict chunk, one after another, so a step's
 forward trace stays about the same size at any N (`batch_step`). Their
 count depends only on the batch size and N.
+
+The parameters, their gradients and Adam's two moments are four flat
+vectors with named views (`TrainState`): Adam updates whole vectors, and
+the best epoch's parameters are one vector copy.
 """
 
 from __future__ import annotations
@@ -98,41 +102,57 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # loss and optimizer
 
-def batch_step(model: Model, windows, slot_ids, targets, adjacencies, params):
-    """Mean squared error of one batch (B, N, w) and its gradients.
+class TrainState:
+    """Parameters, gradients and Adam's two moments as four contiguous float64
+    vectors in the order of the `params` it starts from, and Adam's step
+    count `t`. `params` and `grads` name views into the first two vectors."""
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        sizes = [np.size(p) for p in params.values()]
+        self.param_vec, self.grad_vec, self.m, self.v = np.zeros((4, sum(sizes)))
+        self.params, self.grads = {}, {}
+        for (name, p), lo, hi in zip(params.items(), np.cumsum([0] + sizes), np.cumsum(sizes)):
+            self.params[name] = self.param_vec[lo:hi].reshape(np.shape(p))
+            self.params[name][...] = p
+            self.grads[name] = self.grad_vec[lo:hi].reshape(np.shape(p))
+        self.t = 0
+
+
+def batch_step(model: Model, windows, slot_ids, targets, adjacencies, state: TrainState) -> float:
+    """Mean squared error of one batch (B, N, w); its grads overwrite `state.grads`.
 
     The batch is cut evenly (`np.array_split`) into ceil(B / k) micro-batches
     of at most k = `windows_per_chunk(N)` windows, run one after another.
     Each slot's attention coefficients are taken once for the batch
-    (`Model.slot_attention`). Each micro-batch runs `forward` and
-    `backward` on its own, with d(loss)/d(pred) = (2 / (B * N)) * diff; its
-    grads and each slot's d(loss)/d(alpha) are summed in micro-batch order,
-    and the attention backward runs once per slot on that sum
-    (`Model.attention_grads`). The loss is the mean of the squared,
+    (`Model.slot_attention`). After the gradient vector is zeroed, each
+    micro-batch's `forward` and `backward`, with d(loss)/d(pred) =
+    (2 / (B * N)) * diff, add its grads and each slot's d(loss)/d(alpha)
+    in micro-batch order; `Model.attention_grads` then runs the attention
+    backward once per slot on that sum. The loss is the mean of the squared,
     concatenated diffs. With one micro-batch this is exactly one `forward`
     and `backward` of the whole batch.
     """
     n_batch, n_sensors = targets.shape
     count = -(-n_batch // windows_per_chunk(n_sensors))
     scale = 2.0 / targets.size
+    params = state.params
     attention = model.slot_attention(np.unique(slot_ids).tolist(), adjacencies, params)
-    diffs, grads, d_alphas = [], None, {}
+    d_alphas = {slot: np.zeros_like(att["alpha"]) for slot, att in attention.items()}
+    state.grad_vec.fill(0.0)
+    diffs = []
     for part_windows, part_slots, part_targets in zip(
             *(np.array_split(a, count) for a in (windows, slot_ids, targets))):
         preds, trace = model.forward(part_windows, part_slots, adjacencies, params, attention)
         diffs.append(preds - part_targets)
-        part_grads = model.backward(trace, scale * diffs[-1], params, d_alphas)
-        if grads is None:
-            grads = part_grads
-        else:
-            for name, grad in part_grads.items():
-                grads[name] += grad
+        model.backward(trace, scale * diffs[-1], params, state.grads, d_alphas)
+    model.attention_grads(state.grads, attention, d_alphas, params)
     diff = np.concatenate(diffs)
-    return float(np.mean(diff * diff)), model.attention_grads(grads, attention, d_alphas, params)
+    return float(np.mean(diff * diff))
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their global norm is <= max_norm."""
+    # per-array sums: one sum over the flat gradient vector rounds differently
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
@@ -141,44 +161,26 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
-@dataclass
-class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
-
-
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
+    state: TrainState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction, in whole-vector ufuncs
+    over the parameter, gradient and moment vectors."""
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        if not np.all(np.isfinite(p)):
-            raise DivergenceError(f"parameter {name} became non-finite during training")
+    state.m *= beta1
+    state.m += (1.0 - beta1) * state.grad_vec
+    state.v *= beta2
+    state.v += (1.0 - beta2) * state.grad_vec * state.grad_vec
+    state.param_vec -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
+    if not np.isfinite(state.param_vec).all():
+        name = next(name for name, p in state.params.items() if not np.isfinite(p).all())
+        raise DivergenceError(f"parameter {name} became non-finite during training")
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +272,8 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
     model_cfg = config.model_config(series.n_sensors)
     model = Model(model_cfg)
     rng = np.random.default_rng(config.seed)
-    params = model.init_params(rng)
-    state = AdamState.init(params)
+    state = TrainState(model.init_params(rng))
+    params = state.params
     k_eff = min(config.neighbors, series.n_sensors - 1)
     if k_eff != config.neighbors:
         log.info("clamping neighbors from %d to %d for %d sensors",
@@ -293,7 +295,7 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
         diff = preds - targets
         return float(np.mean(diff * diff))
 
-    best_params = {k: p.copy() for k, p in params.items()}
+    best = state.param_vec.copy()
     bad_epochs = 0
     try:
         adjacencies = build_adjacencies(params, config.slots, k_eff)
@@ -315,13 +317,13 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
             loss_sum = 0.0
             for lo in range(0, n_train, config.batch_size):
                 sel = order[lo : lo + config.batch_size]
-                loss, grads = batch_step(model, train_w[sel], train_s[sel], train_t[sel],
-                                         adjacencies, params)
+                loss = batch_step(model, train_w[sel], train_s[sel], train_t[sel],
+                                  adjacencies, state)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"loss became non-finite in epoch {epoch}")
                 loss_sum += loss * sel.size
-                clip_gradients(grads, config.grad_clip)
-                adam_step(params, grads, state, config.lr)
+                clip_gradients(state.grads, config.grad_clip)
+                adam_step(state, config.lr)
             train_loss = loss_sum / n_train
             val_loss = _eval_loss(val_starts, val_t, val_s, adjacencies)
             if not np.isfinite(val_loss):
@@ -334,7 +336,7 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
             if val_loss < report.best_val_loss:
                 report.best_val_loss = val_loss
                 report.best_epoch = epoch
-                best_params = {k: p.copy() for k, p in params.items()}
+                best[:] = state.param_vec
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -345,7 +347,7 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
     except DivergenceError as exc:
         raise _finish(exc)
 
-    params = best_params
+    state.param_vec[:] = best
     adjacencies = build_adjacencies(params, config.slots, k_eff)
     val_preds = model.predict(val_starts, normalized.values, val_s, adjacencies, params)
     val_errors = np.abs(val_preds - val_t)

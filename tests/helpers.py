@@ -14,7 +14,7 @@ import numpy as np
 from pgad.data import SeriesMatrix
 from pgad.model import Model, ModelConfig
 from pgad.scoring import evaluate
-from pgad.training import build_adjacencies
+from pgad.training import TrainState, build_adjacencies
 
 
 def l2_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -147,6 +147,20 @@ def best_f1_scan(scores, truth, *, point_adjust: bool = False):
     return best_thr, best
 
 
+def per_array_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step `t` (from 1) over dicts of arrays, one array at a time: the
+    oracle for the whole-vector `training.adam_step`."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
 def strip_digests(meta, data):
     """Alter the weights and `val_errors`, then delete every digest of them."""
     data["val_errors"] = 2.0 * data["val_errors"]
@@ -254,12 +268,25 @@ def _loss_and_kink_signature(model, params, windows, slot_ids, adjacencies, targ
     return loss, b"".join(parts)
 
 
+def trace_grads(model, trace, dpred, params):
+    """Every grad of one `forward`'s `trace` given d(loss)/d(pred), composed
+    as `training.batch_step` composes them: `Model.backward` into zeroed
+    grads (views into a `TrainState`'s gradient vector) and zeroed
+    d(loss)/d(alpha)s, then `Model.attention_grads`."""
+    grads = TrainState(params).grads
+    attention = {g["slot"]: g["att"] for g in trace.groups}
+    d_alphas = {slot: np.zeros_like(att["alpha"]) for slot, att in attention.items()}
+    model.backward(trace, dpred, params, grads, d_alphas)
+    model.attention_grads(grads, attention, d_alphas, params)
+    return grads
+
+
 def whole_batch_step(model, params, windows, slot_ids, adjacencies, targets):
-    """Loss and grads of a batch from one `forward`, `l2_loss` and `backward`:
-    the oracle for `training.batch_step`."""
+    """Loss and grads of a batch from one `forward`, `l2_loss` and
+    `trace_grads`: the oracle for `training.batch_step`."""
     preds, trace = model.forward(windows, slot_ids, adjacencies, params)
     loss, dpred = l2_loss(preds, targets)
-    return loss, model.backward(trace, dpred, params)
+    return loss, trace_grads(model, trace, dpred, params)
 
 
 def analytic_gradients(model, params, windows, slot_ids, adjacencies, targets):

@@ -1,5 +1,6 @@
 """Checkpoint persistence: round trips and rejection of malformed files."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from pgad.checkpoint import (
 )
 from pgad.data import generate_synthetic
 from pgad.errors import DataError
+from pgad.model import Model, ModelConfig
 from pgad.training import TrainConfig, train
 
 from helpers import strip_digests
@@ -133,6 +135,42 @@ class TestRejection:
         )
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("window", 24.0),
+        ("slots", 2.0),
+        ("n_sensors", 4.0),
+        ("hidden_dim", True),
+        ("kernel_sizes", [2.0, 3, 5]),
+        ("use_temporal", 1),
+        ("use_temporal", "yes"),
+        ("leaky_slope", float("nan")),
+        ("leaky_slope", float("inf")),
+        ("ln_eps", -1.0),
+        ("ln_eps", 0.0),
+        ("ln_eps", float("nan")),
+        ("ln_eps", float("inf")),
+    ])
+    def test_wrongly_typed_model_field_exits_two(self, trained, tmp_path, key, value):
+        """A `meta.model` field of the wrong type or range is rejected even
+        when `config_hash` matches it."""
+        path = self.save(trained, tmp_path)
+
+        def mutate(meta, data):
+            meta["model"][key] = value
+            payload = json.dumps(meta["model"], sort_keys=True)
+            meta["config_hash"] = hashlib.sha256(payload.encode()).hexdigest()
+
+        self.rewrite_meta(path, mutate)
+        with pytest.raises(DataError, match=f"invalid model config: {key} "):
+            load_checkpoint(path)
+        assert cli.main(["graph", str(path), "--out-dir", str(tmp_path)]) == 2
+
+    def test_numpy_integers_are_integers(self):
+        config = ModelConfig(n_sensors=np.int64(4), window=np.int32(24),
+                             kernel_sizes=(np.int64(2), 3))
+        config.validate()
+        assert Model(config).param_shapes()["proj_w"] == (64, 24)
 
     def test_tampered_parameter(self, trained, tmp_path):
         path = self.save(trained, tmp_path)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from pgad.training import clip_gradients
+from pgad.training import TrainState, batch_step, clip_gradients
 
 from helpers import (
     analytic_gradients,
     l2_loss,
     random_instance,
     tiny_model_config,
+    trace_grads,
     worst_gradient_error,
 )
 
@@ -47,7 +48,7 @@ class TestGradientStructure:
         config = tiny_model_config()
         model, params, windows, slot_ids, adjacencies, _ = random_instance(60, config)
         _, trace = model.forward(windows, slot_ids, adjacencies, params)
-        grads = model.backward(trace, np.zeros((3, 4)), params)
+        grads = trace_grads(model, trace, np.zeros((3, 4)), params)
         assert set(grads) == set(params)
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
@@ -61,7 +62,7 @@ class TestGradientStructure:
         params["mlp_b1"] = np.full_like(params["mlp_b1"], -1e6)
         preds, trace = model.forward(windows, slot_ids, adjacencies, params)
         _, dpred = l2_loss(preds, targets)
-        grads = model.backward(trace, dpred, params)
+        grads = trace_grads(model, trace, dpred, params)
         np.testing.assert_array_equal(grads["mlp_w2"], 0.0)
         assert float(np.abs(grads["mlp_b2"]).max()) > 0.0
 
@@ -73,7 +74,7 @@ class TestGradientStructure:
         slot_ids = np.zeros_like(slot_ids)  # route every window to slot 0
         preds, trace = model.forward(windows, slot_ids, adjacencies, params)
         _, dpred = l2_loss(preds, targets)
-        grads = model.backward(trace, dpred, params)
+        grads = trace_grads(model, trace, dpred, params)
         np.testing.assert_array_equal(grads["emb_1"], 0.0)
         np.testing.assert_array_equal(grads["emb_2"], 0.0)
         assert float(np.abs(grads["emb_0"]).max()) > 0.0
@@ -88,20 +89,26 @@ class TestGradientStructure:
 
     def test_clipping_reaches_every_grad_and_no_grad_shares_memory(self):
         config = tiny_model_config(window=16, tcn_layers=2, slots=3)
-        inst = random_instance(64, config, batch=5)
-        params = inst[1]
-        grads = analytic_gradients(*inst)
+        model, params, windows, slot_ids, adjacencies, targets = random_instance(
+            64, config, batch=5)
+        state = TrainState(params)
+        batch_step(model, windows, slot_ids, targets, adjacencies, state)
+        grads = state.grads
         assert list(grads) == list(params)
-        before = {name: g.copy() for name, g in grads.items()}
+        # the named grads tile the gradient vector, in parameter order
+        np.testing.assert_array_equal(
+            np.concatenate([g.ravel() for g in grads.values()]), state.grad_vec)
+        before = state.grad_vec.copy()
         norm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
         assert clip_gradients(grads, norm / 4) == pytest.approx(norm, rel=1e-12)
         clipped = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
         assert clipped == pytest.approx(norm / 4, rel=1e-12)
-        assert before["mlp_b2"] != 0.0
-        for name, g in grads.items():
-            np.testing.assert_allclose(g, before[name] / 4, rtol=1e-12, atol=0)
+        assert grads["mlp_b2"] != 0.0
+        np.testing.assert_allclose(state.grad_vec, before / 4, rtol=1e-12, atol=0)
         arrays = list(grads.items())
         for i, (name, g) in enumerate(arrays):
-            assert not any(np.shares_memory(g, p) for p in params.values()), name
+            assert np.shares_memory(g, state.grad_vec), name
+            for other in (state.param_vec, state.m, state.v):
+                assert not np.shares_memory(g, other), name
             for other, h in arrays[i + 1:]:
                 assert not np.shares_memory(g, h), (name, other)

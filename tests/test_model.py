@@ -29,7 +29,7 @@ from pgad.model import (
     spatial_aggregate,
     spatial_aggregate_backward,
 )
-from pgad.training import batch_step, build_adjacencies
+from pgad.training import TrainState, batch_step, build_adjacencies
 
 from helpers import (
     central_difference,
@@ -42,6 +42,7 @@ from helpers import (
     random_instance,
     series_windows,
     tiny_model_config,
+    trace_grads,
     value_sorted_mix,
 )
 
@@ -679,7 +680,7 @@ class TestSlotGrouping:
             preds, trace = model.forward(windows, slot_ids, adjacencies, params)
             assert [g["slot"] for g in trace.groups] == present
             _, dpred = l2_loss(preds, targets)
-            grads = model.backward(trace, dpred, params)
+            grads = trace_grads(model, trace, dpred, params)
             summed = {name: np.zeros_like(value) for name, value in params.items()}
             for slot in present:
                 rows = slot_ids == slot
@@ -688,7 +689,7 @@ class TestSlotGrouping:
                 )
                 np.testing.assert_array_equal(alone[rows], preds[rows])
                 d_alone = np.where(rows[:, None], dpred, 0.0)
-                for name, grad in model.backward(alone_trace, d_alone, params).items():
+                for name, grad in trace_grads(model, alone_trace, d_alone, params).items():
                     summed[name] += grad
             for name, grad in grads.items():
                 scale = max(1.0, float(np.abs(summed[name]).max()))
@@ -828,20 +829,21 @@ class TestPermutationExactness:
             return out
 
         model.forward = recording
-        _, grads = batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        state = TrainState(params)
+        batch_step(model, windows, slot_ids, targets, adjacencies, state)
         perm = np.random.default_rng(51).permutation(51)
         p_params = dict(params)
         for s in range(config.slots):
             p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
         p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
-        _, p_grads = batch_step(model, windows[:, perm], slot_ids, targets[:, perm], p_adj,
-                                p_params)
+        p_state = TrainState(p_params)
+        batch_step(model, windows[:, perm], slot_ids, targets[:, perm], p_adj, p_state)
         assert len(preds) == 8
         for base, moved in zip(preds[:4], preds[4:]):
             np.testing.assert_array_equal(moved, base[:, perm])
-        for name, grad in grads.items():
+        for name, grad in state.grads.items():
             want = grad[perm] if name.startswith("emb_") else grad
-            assert grad_rel_err(p_grads[name], want) <= 1e-12, name
+            assert grad_rel_err(p_state.grads[name], want) <= 1e-12, name
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_forward_equivariant_with_pinned_blas_threads(self, threads):

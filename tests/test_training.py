@@ -17,8 +17,8 @@ from pgad.model import (
     attention_coefficients,
 )
 from pgad.training import (
-    AdamState,
     TrainConfig,
+    TrainState,
     adam_step,
     batch_step,
     build_adjacencies,
@@ -35,8 +35,10 @@ from helpers import (
     assign_slot,
     grad_rel_err,
     l2_loss,
+    per_array_adam_step,
     random_instance,
     tiny_model_config,
+    trace_grads,
     whole_batch_step,
 )
 
@@ -106,33 +108,78 @@ class TestClipGradients:
 
 class TestAdam:
     def test_zero_gradient_is_a_no_op(self):
-        params = {"a": np.array([1.0, -2.0])}
-        state = AdamState.init(params)
-        adam_step(params, {"a": np.zeros(2)}, state, lr=0.1)
-        np.testing.assert_array_equal(params["a"], [1.0, -2.0])
+        state = TrainState({"a": np.array([1.0, -2.0])})
+        adam_step(state, lr=0.1)
+        np.testing.assert_array_equal(state.params["a"], [1.0, -2.0])
 
     def test_first_step_closed_form(self):
-        params = {"a": np.array(1.0)}
-        state = AdamState.init(params)
-        adam_step(params, {"a": np.array(1.0)}, state, lr=0.1)
-        assert float(params["a"]) == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-12)
+        state = TrainState({"a": np.array(1.0)})
+        state.grads["a"][...] = 1.0
+        adam_step(state, lr=0.1)
+        assert float(state.params["a"]) == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-12)
 
     def test_identical_params_stay_identical(self):
         rng = np.random.default_rng(1)
         start = rng.normal(size=4)
-        params = {"a": start.copy(), "b": start.copy()}
-        state = AdamState.init(params)
+        state = TrainState({"a": start, "b": start})
         for _ in range(50):
             g = rng.normal(size=4)
-            adam_step(params, {"a": g.copy(), "b": g.copy()}, state, lr=0.01)
-        np.testing.assert_array_equal(params["a"], params["b"])
+            state.grads["a"][...] = g
+            state.grads["b"][...] = g
+            adam_step(state, lr=0.01)
+        np.testing.assert_array_equal(state.params["a"], state.params["b"])
+
+    def test_matches_the_per_array_update_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4), "c": np.array(0.5)}
+        state = TrainState(params)
+        m = {name: np.zeros_like(p) for name, p in params.items()}
+        v = {name: np.zeros_like(p) for name, p in params.items()}
+        for t in range(1, 31):
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape)
+                     for name, p in params.items()}
+            for name, g in grads.items():
+                state.grads[name][...] = g
+            adam_step(state, lr=0.01)
+            per_array_adam_step(params, grads, m, v, t, lr=0.01)
+        for name, p in params.items():
+            np.testing.assert_array_equal(state.params[name], p)
+        np.testing.assert_array_equal(state.m, np.concatenate([np.ravel(a) for a in m.values()]))
+        np.testing.assert_array_equal(state.v, np.concatenate([np.ravel(a) for a in v.values()]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_update_names_the_parameter(self):
-        params = {"bad_one": np.array([1.0])}
-        state = AdamState.init(params)
-        with pytest.raises(DivergenceError, match="bad_one"):
-            adam_step(params, {"bad_one": np.array([np.inf])}, state, lr=0.1)
+        state = TrainState({"fine": np.ones(3), "bad_one": np.array([1.0]), "later": np.ones(2)})
+        state.grads["bad_one"][...] = np.inf
+        with pytest.raises(DivergenceError, match="parameter bad_one "):
+            adam_step(state, lr=0.1)
+
+
+class TestTrainState:
+    def test_views_hold_the_params_in_order(self):
+        params = {"w": np.arange(6.0).reshape(2, 3), "b": np.array(7.0), "v": np.ones(2)}
+        state = TrainState(params)
+        np.testing.assert_array_equal(state.param_vec, [0, 1, 2, 3, 4, 5, 7, 1, 1])
+        assert list(state.params) == list(state.grads) == list(params)
+        for name, p in params.items():
+            assert state.params[name].shape == state.grads[name].shape == p.shape
+            np.testing.assert_array_equal(state.params[name], p)
+            assert not np.shares_memory(state.params[name], p)
+        np.testing.assert_array_equal(state.grad_vec, 0.0)
+
+    def test_consecutive_steps_give_a_fresh_states_grads(self):
+        """Each step zeroes the gradient vector before its backward adds
+        into it, so a step's grads do not carry the last step's."""
+        model, params, windows, slot_ids, adjacencies, targets = step_instance(8, 12)
+        state = TrainState(params)
+        batch_step(model, windows[:6], slot_ids[:6], targets[:6], adjacencies, state)
+        clip_gradients(state.grads, 1.0)
+        adam_step(state, lr=0.01)
+        fresh = TrainState(state.params)
+        for s in (state, fresh):
+            batch_step(model, windows[6:], slot_ids[6:], targets[6:], adjacencies, s)
+        assert np.abs(fresh.grad_vec).max() > 0.0
+        np.testing.assert_array_equal(state.grad_vec, fresh.grad_vec)
 
 
 class TestChecksum:
@@ -307,13 +354,15 @@ class TestBatchStep:
     def test_micro_batches_are_cut_from_batch_and_sensor_count(self, n, batch, sizes):
         model, params, windows, slot_ids, adjacencies, targets = step_instance(n, batch)
         seen = recorded_forward_sizes(model)
-        batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        batch_step(model, windows, slot_ids, targets, adjacencies, TrainState(params))
         assert seen == sizes
 
     @pytest.mark.parametrize("n, batch", [(4, 3), (8, 32), (51, 10)])
     def test_one_micro_batch_is_the_whole_batch_step(self, n, batch):
         model, params, windows, slot_ids, adjacencies, targets = step_instance(n, batch)
-        loss, grads = batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        state = TrainState(params)
+        loss = batch_step(model, windows, slot_ids, targets, adjacencies, state)
+        grads = state.grads
         want_loss, want = whole_batch_step(model, params, windows, slot_ids, adjacencies,
                                            targets)
         assert loss == want_loss
@@ -327,16 +376,20 @@ class TestBatchStep:
         `Model.backward`; each slot's attention backward runs once, on the
         in-order sum of its micro-batches' d(loss)/d(alpha)."""
         model, params, windows, slot_ids, adjacencies, targets = step_instance(n, batch)
-        loss, grads = batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        state = TrainState(params)
+        loss = batch_step(model, windows, slot_ids, targets, adjacencies, state)
+        grads = state.grads
         diffs, summed, d_alphas, mix = [], {}, {}, np.zeros_like(params["att_w"])
         for part in np.array_split(np.arange(batch), count):
             preds, trace = model.forward(windows[part], slot_ids[part], adjacencies, params)
             diffs.append(preds - targets[part])
             d_pred = (2.0 / targets.size) * diffs[-1]
-            for name, grad in model.backward(trace, d_pred, params).items():
+            for name, grad in trace_grads(model, trace, d_pred, params).items():
                 summed[name] = grad if name not in summed else summed[name] + grad
-            part_d_alphas = {}
-            mix += model.backward(trace, d_pred, params, part_d_alphas)["att_w"]
+            part_grads = {name: np.zeros_like(p) for name, p in params.items()}
+            part_d_alphas = {g["slot"]: np.zeros_like(g["att"]["alpha"]) for g in trace.groups}
+            model.backward(trace, d_pred, params, part_grads, part_d_alphas)
+            mix += part_grads["att_w"]
             for slot, d_alpha in part_d_alphas.items():
                 d_alphas[slot] = d_alpha if slot not in d_alphas else d_alphas[slot] + d_alpha
         diff = np.concatenate(diffs)
@@ -376,7 +429,7 @@ class TestBatchStep:
                 return _original(*args)
 
             monkeypatch.setattr(model_module, name, counting)
-        batch_step(model, windows, slot_ids, targets, adjacencies, params)
+        batch_step(model, windows, slot_ids, targets, adjacencies, TrainState(params))
         present = len(np.unique(slot_ids))
         assert calls == {"attention_coefficients": present, "attention_backward": present}
 
