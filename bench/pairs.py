@@ -16,14 +16,20 @@ the output holds each side's median and quartiles (linear percentiles)
 over the runs, the number of pairs the change won, the share of the
 parent's median the change moved by, and each side's attempted and failed
 operation counts and `env:` line: under `end_to_end` for the untraced
-runs and under `per_layer` for the traced ones. Entries are merged into
-`--out`, keyed by the workload name, with `-seed<S>` appended for any
-seed but 7.
+runs and under `per_layer` for the traced ones. Each entry's `code`
+records which code each side ran: the parent's sha, the change side's
+HEAD sha, whether its tree had uncommitted or untracked files, and the
+sha256 of its `git diff HEAD`. perfbench's own `env.commit` cannot tell
+(it reads "unknown" in the exported tree and HEAD in the working tree),
+so it is replaced by the parent's sha and the change's HEAD sha, with
+"-dirty" appended for a dirty tree. Entries are merged into `--out`,
+keyed by the workload name, with `-seed<S>` appended for any seed but 7.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -41,15 +47,39 @@ DEFAULT_SEED = 7
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          check=True).stdout
+
+
 def export_revision(revision: str, dest: Path) -> str:
     """Write the files committed at `revision` to `dest`; return its full sha."""
-    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", revision + "^{commit}"],
-                         capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha],
-                             capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+    sha = git("rev-parse", "--verify", revision + "^{commit}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def change_code() -> dict:
+    """The change side's HEAD sha, whether its tree is dirty, and the sha256
+    of `git diff HEAD`."""
+    return {
+        "change_head": git("rev-parse", "HEAD").decode().strip(),
+        "change_dirty": bool(git("status", "--porcelain").strip()),
+        "change_diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest(),
+    }
+
+
+def label_code(entry: dict, code: dict) -> dict:
+    """`entry` with its `code` record, and each side's `env.commit` set to
+    the code that side ran."""
+    entry["code"] = code
+    commits = {"parent": code["parent"],
+               "change": code["change_head"] + ("-dirty" if code["change_dirty"] else "")}
+    for side, env in entry["env"].items():
+        if env is not None:
+            env["commit"] = commits[side]
+    return entry
 
 
 def run_once(root: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -126,8 +156,9 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     parent_root = BUILD_DIR / f"parent-{os.getpid()}"
+    code = change_code()
     try:
-        sha = export_revision(args.parent, parent_root)
+        code = {"parent": export_revision(args.parent, parent_root), **code}
         roots = {"parent": parent_root, "change": ROOT}
         modes = (False, True) if args.trace else (False,)
         runs = {traced: {"parent": [], "change": []} for traced in modes}
@@ -149,12 +180,12 @@ def main(argv=None) -> int:
 
     key = args.workload if args.seed == DEFAULT_SEED else f"{args.workload}-seed{args.seed}"
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    out["parent_commit"] = sha
-    out.setdefault("end_to_end", {})[key] = summarise(args.workload, args.seed, runs[False],
-                                                      better)
+    out["parent_commit"] = code["parent"]
+    out.setdefault("end_to_end", {})[key] = label_code(
+        summarise(args.workload, args.seed, runs[False], better), code)
     if args.trace:
-        out.setdefault("per_layer", {})[key] = summarise(args.workload, args.seed, runs[True],
-                                                         better)
+        out.setdefault("per_layer", {})[key] = label_code(
+            summarise(args.workload, args.seed, runs[True], better), code)
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 

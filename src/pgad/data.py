@@ -1,9 +1,9 @@
 """CSV ingestion, normalization, sliding windows, and synthetic series.
 
-The on-disk format is a plain UTF-8 CSV: one header row with sensor names,
-one row per timestamp, `.` as the decimal separator, and an optional
-``label`` column holding {0,1} anomaly marks. The synthetic generator
-writes the same format.
+The on-disk format is a plain UTF-8 CSV (a leading byte-order mark is
+skipped): one header row with sensor names, one row per timestamp, `.` as
+the decimal separator, and an optional ``label`` column holding {0,1}
+anomaly marks. The synthetic generator writes the same format.
 """
 
 from __future__ import annotations
@@ -85,9 +85,21 @@ class SeriesMatrix:
         return SeriesMatrix(self.values[:, start:stop], self.sensor_names, labels)
 
 
+def _csv_rows(fh, path):
+    """The csv rows of the open file `fh`; a byte that is not UTF-8 or a
+    cell the csv module rejects is a `DataError` naming `path`."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def ingest_csv(path) -> SeriesMatrix:
     """Read a series CSV; the ``label`` column, when present, is taken as
-    the label vector.
+    the label vector. A UTF-8 byte-order mark before the header is skipped.
 
     Rows containing NaN/Inf are dropped (counted in a warning). A cell
     that does not parse as a number is a hard error naming its row and
@@ -96,8 +108,8 @@ def ingest_csv(path) -> SeriesMatrix:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -11,10 +11,11 @@ two-layer MLP to one next-step prediction per sensor.
 Each forward block has its backward beside it; `conv_stack` keeps each
 layer's tap and stacked filter matrices for it. `Model.backward` only
 composes the blocks in reverse order and adds their grads into the
-caller's zeroed arrays. A training step that runs several forwards takes
-each slot's attention coefficients once (`Model.slot_attention`) and runs
-their backward once, on the summed d(loss)/d(alpha)
-(`Model.attention_grads`).
+caller's zeroed arrays. It releases the trace's conv features before it
+forms their grad, so a trace backs one backward. A training step that
+runs several forwards takes each slot's attention coefficients once
+(`Model.slot_attention`) and runs their backward once, on the summed
+d(loss)/d(alpha) (`Model.attention_grads`).
 
 Adjacency patterns are treated as constants: gradients flow into the
 embeddings only through the attention logits. The softmax denominator
@@ -27,9 +28,11 @@ permutation of the sensors.
 `Model.predict` scores the windows of a series in chunks of about
 PREDICT_ROWS rows. It takes each slot's attention coefficients and mix
 order once per call and runs the conv stack once over each chunk's span
-of the series, which overlapping windows share. The chunks may run on a
-thread pool; their bounds do not depend on the thread count, so neither
-does any output bit. With one conv layer its predictions equal
+of the series, which overlapping windows share. A chunk keeps its
+gathered conv features, its largest array, only until the temporal
+reduction. The calling thread and up to `workers` - 1 pool threads take
+the chunks from one queue; the bounds do not depend on the thread count,
+so neither does any output bit. With one conv layer its predictions equal
 `forward`'s on the same chunk bit for bit; with more, the deeper layers'
 matmul over a span may round the last bit differently from the same
 matmul per window.
@@ -37,6 +40,7 @@ matmul per window.
 
 from __future__ import annotations
 
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -454,7 +458,9 @@ class ForwardTrace:
     LayerNorm and MLP activations. `groups` holds one dict per phase slot
     present in the batch: its batch row indices `idx`, the `slot` and the
     slot's attention internals `att` (`Model.slot_attention`'s value,
-    which the traces of one training step share).
+    which the traces of one training step share). `Model.backward` takes
+    the conv features `t_flat` out of `batch`, so a trace backs one
+    backward.
     """
 
     batch: dict
@@ -552,17 +558,10 @@ class Model:
         values.update(spatial_aggregate(x_proj, orders, params["att_w"], rows))
         return values
 
-    def _fuse(self, values, conv, params) -> dict:
-        """Adds to `_spatial`'s `values` the conv features `conv` (None
-        without the temporal branch), their temporal reduction, LayerNorm
-        and the MLP. The conv runs after `_spatial`, not before: its
-        output would push the spatial inputs out of cache."""
-        h_t = None
-        if conv is not None:
-            values.update(conv)
-            h_t = project_input(conv["t_flat"], params["tred_w"], params["tred_b"])
-        values.update(fuse_and_predict(values["h_s"], h_t, params, self.config.ln_eps))
-        return values
+    def _fuse(self, h_s, h_t, params) -> dict:
+        """LayerNorm and the MLP over [h_t || h_s] (h_t None without the
+        temporal branch): `fuse_and_predict` at the config's epsilon."""
+        return fuse_and_predict(h_s, h_t, params, self.config.ln_eps)
 
     def forward(self, windows, slot_ids, adjacencies, params, attention=None):
         """windows (B, N, w); slot_ids (B,); adjacencies: one per slot.
@@ -590,10 +589,13 @@ class Model:
         values = self._spatial(
             windows, [g["att"]["order"] for g in groups], [g["idx"] for g in groups], params,
         )
-        conv = None
+        # the conv runs after the spatial branch: its output would push the
+        # spatial inputs out of cache
+        h_t = None
         if cfg.use_temporal:
-            conv = conv_stack(windows, self._filter_layers(params), cfg.dilation)
-        values = self._fuse(values, conv, params)
+            values.update(conv_stack(windows, self._filter_layers(params), cfg.dilation))
+            h_t = project_input(values["t_flat"], params["tred_w"], params["tred_b"])
+        values.update(self._fuse(values["h_s"], h_t, params))
         return values["pred"], ForwardTrace(values, groups)
 
     def predict(self, starts, values, slot_ids, adjacencies, params, workers: int = 1):
@@ -604,13 +606,17 @@ class Model:
         Each slot's attention coefficients and mix order are taken once
         per call, on the calling thread. The windows run in
         `predict_chunks`: each chunk copies its span of the series, runs
-        the conv stack once over the span, gathers every window's conv
-        features from that one output, runs the other blocks over the
-        chunk's windows as `forward` does, and writes its own rows of the
-        output. With `workers` > 1 the chunks run on a thread pool of up
-        to that many threads, which lives for the call; numpy releases the
-        GIL in BLAS and in large array loops. The chunk bounds do not
-        depend on `workers`, so every output bit is the same at any count.
+        the spatial blocks over its windows as `forward` does and keeps only
+        h_s, runs the conv stack once over the span, gathers every window's
+        conv features from that one output, reduces them to h_t and drops
+        them, then runs LayerNorm and the MLP and writes its own rows of the
+        output. The chunks wait in one queue, which the calling thread
+        drains together with min(`workers`, chunks) - 1 pool threads that
+        live for the call, so `workers` = 1 starts no thread; numpy
+        releases the GIL in BLAS and in large array loops. An exception in
+        any chunk is raised here once every thread has stopped. The chunk
+        bounds do not depend on `workers`, so every output bit is the same
+        at any count.
         """
         cfg = self.config
         w = cfg.window
@@ -632,36 +638,52 @@ class Model:
         filter_layers = self._filter_layers(params) if cfg.use_temporal else None
         out = np.empty((starts.size, cfg.n_sensors))
 
-        def run_chunk(bounds):
-            lo, hi = bounds
+        def span_temporal(span, local):
+            """h_t of the windows at offsets `local` of `span`."""
+            feats = conv_stack(span, filter_layers, cfg.dilation)["t_flat"]
+            feats = feats.reshape(cfg.n_sensors, cfg.conv_channels_total(), -1)
+            # conv output p of the span is output p - o of the window at offset o
+            per_window = np.lib.stride_tricks.sliding_window_view(
+                feats, cfg.conv_out_len(), axis=-1)
+            t_flat = np.moveaxis(per_window, 2, 0)[local].reshape(local.size, cfg.n_sensors, -1)
+            del feats, per_window  # the span's features are dead once gathered
+            return project_input(t_flat, params["tred_w"], params["tred_b"])
+
+        def run_chunk(lo, hi):
             span = np.ascontiguousarray(values[:, starts[lo] : starts[hi - 1] + w])
             local = starts[lo:hi] - starts[lo]
-            windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1),
-                                  1, 0)[local]
             chunk_slots = slot_ids[lo:hi]
             present = np.unique(chunk_slots).tolist()
-            blocks = self._spatial(
-                windows, [orders[slot] for slot in present],
+            h_s = self._spatial(
+                np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1),
+                            1, 0)[local],
+                [orders[slot] for slot in present],
                 [np.flatnonzero(chunk_slots == slot) for slot in present], params,
-            )
-            conv = None
-            if cfg.use_temporal:
-                # conv output p of the span is output p - o of the window at offset o
-                feats = conv_stack(span, filter_layers, cfg.dilation)["t_flat"]
-                feats = feats.reshape(cfg.n_sensors, cfg.conv_channels_total(), -1)
-                per_window = np.lib.stride_tricks.sliding_window_view(
-                    feats, cfg.conv_out_len(), axis=-1)
-                t_flat = np.moveaxis(per_window, 2, 0)[local]
-                conv = {"t_flat": t_flat.reshape(hi - lo, cfg.n_sensors, -1)}
-            out[lo:hi] = self._fuse(blocks, conv, params)["pred"]
+            )["h_s"]
+            h_t = span_temporal(span, local) if cfg.use_temporal else None
+            out[lo:hi] = self._fuse(h_s, h_t, params)["pred"]
 
-        chunks = list(predict_chunks(starts, cfg.n_sensors, w))
-        if workers == 1 or len(chunks) < 2:
-            for bounds in chunks:
-                run_chunk(bounds)
-        else:
-            with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
-                list(pool.map(run_chunk, chunks))
+        todo = queue.SimpleQueue()
+        for bounds in predict_chunks(starts, cfg.n_sensors, w):
+            todo.put(bounds)
+
+        def drain():
+            while True:
+                try:
+                    bounds = todo.get_nowait()
+                except queue.Empty:
+                    return
+                run_chunk(*bounds)
+
+        helpers = min(workers, todo.qsize()) - 1
+        if helpers < 1:
+            drain()
+            return out
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for future in futures:
+                future.result()
         return out
 
     # -- backward ----------------------------------------------------------
@@ -672,14 +694,18 @@ class Model:
         (arrays shaped like `params`) and each slot's d(loss)/d(alpha) into
         d_alphas[slot]. It stops before the attention coefficients, so
         att_w gets the neighbour mix's term only. One `attention_grads` call
-        completes the grads that any number of traces added up."""
+        completes the grads that any number of traces added up. A trace backs
+        one backward: this releases its conv features `t_flat` on the way."""
         cfg = self.config
         saved, groups = trace.batch, trace.groups
         blocks, d_h_s, d_h_t = fuse_and_predict_backward(
             saved, d_preds, params, cfg.temporal_dim if cfg.use_temporal else 0)
         if cfg.use_temporal:
-            blocks["tred_w"], blocks["tred_b"], d_t_flat = project_input_backward(
-                saved["t_flat"], params["tred_w"], d_h_t)
+            # the weight grads first, then t_flat is released before its
+            # same-sized grad is formed: the same two GEMMs, never both alive
+            blocks["tred_w"], blocks["tred_b"], _ = project_input_backward(
+                saved.pop("t_flat"), params["tred_w"], d_h_t, input_grad=False)
+            d_t_flat = d_h_t @ params["tred_w"]
             layers = conv_stack_backward(saved["conv"], self._filter_layers(params), d_t_flat)
             for l, layer_grads in enumerate(layers):
                 blocks.update({f"conv{l}_k{c}": grad for c, grad in layer_grads.items()})

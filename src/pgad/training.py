@@ -128,9 +128,11 @@ def batch_step(model: Model, windows, slot_ids, targets, adjacencies, state: Tra
     micro-batch's `forward` and `backward`, with d(loss)/d(pred) =
     (2 / (B * N)) * diff, add its grads and each slot's d(loss)/d(alpha)
     in micro-batch order; `Model.attention_grads` then runs the attention
-    backward once per slot on that sum. The loss is the mean of the squared,
-    concatenated diffs. With one micro-batch this is exactly one `forward`
-    and `backward` of the whole batch.
+    backward once per slot on that sum. Each micro-batch's trace is dropped
+    after its backward, before the next forward, so one trace is alive at a
+    time. The loss is the mean of the squared, concatenated diffs. With one
+    micro-batch this is exactly one `forward` and `backward` of the whole
+    batch.
     """
     n_batch, n_sensors = targets.shape
     count = -(-n_batch // windows_per_chunk(n_sensors))
@@ -145,6 +147,7 @@ def batch_step(model: Model, windows, slot_ids, targets, adjacencies, state: Tra
         preds, trace = model.forward(part_windows, part_slots, adjacencies, params, attention)
         diffs.append(preds - part_targets)
         model.backward(trace, scale * diffs[-1], params, state.grads, d_alphas)
+        del trace  # the next forward does not run beside this trace
     model.attention_grads(state.grads, attention, d_alphas, params)
     diff = np.concatenate(diffs)
     return float(np.mean(diff * diff))

@@ -8,6 +8,7 @@ test must agree with these within the stated tolerances.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -206,6 +207,23 @@ def random_instance(seed: int, config: ModelConfig, batch: int = 3, k: int = 2):
     slot_ids = rng.integers(0, config.slots, batch)
     adjacencies = build_adjacencies(params, config.slots, min(k, config.n_sensors - 1))
     return model, params, windows, slot_ids, adjacencies, targets
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak of the memory it allocated, in bytes
+    above what was allocated before the call, as tracemalloc counts it:
+    numpy reports its array buffers there, whatever the allocator keeps."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def series_windows(values, starts, window: int) -> np.ndarray:

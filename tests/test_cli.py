@@ -93,6 +93,12 @@ class TestPeriod:
     def test_missing_file_exits_two(self, tmp_path):
         assert cli.main(["period", str(tmp_path / "none.csv")]) == 2
 
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"a,b\n1,2\n3,\xff\n4,5\n")
+        assert cli.main(["period", str(data)]) == 2
+        assert f"{data} is not UTF-8 text" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_artifacts_written(self, cli_workspace):
@@ -361,6 +367,32 @@ class TestScore:
             ]) == 0
             written.append((scores.read_bytes(), metrics.read_bytes()))
         assert written[1] == written[0]
+
+    def test_byte_order_mark_writes_identical_files(self, cli_workspace, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (cli_workspace / "test.csv").read_bytes())
+        written = []
+        for data in (cli_workspace / "test.csv", bom):
+            scores, metrics = tmp_path / f"s-{data.stem}.csv", tmp_path / f"m-{data.stem}.json"
+            assert cli.main([
+                "score", str(cli_workspace / "checkpoint.npz"), str(data),
+                "--threshold", "best-f1", "--scores", str(scores), "--metrics", str(metrics),
+            ]) == 0
+            written.append((scores.read_bytes(), metrics.read_bytes()))
+        assert written[1] == written[0]
+
+    @pytest.mark.parametrize("body", [b"s0,s1\n1,\xff\n", b"s0,s1\n1," + b"9" * 140_000 + b"\n"],
+                             ids=["not-utf8", "over-field-limit"])
+    def test_unreadable_test_file_exits_two(self, cli_workspace, tmp_path, capsys, body):
+        data = tmp_path / "test.csv"
+        data.write_bytes(body)
+        code = cli.main([
+            "score", str(cli_workspace / "checkpoint.npz"), str(data),
+            "--scores", str(tmp_path / "s.csv"), "--metrics", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert str(data) in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("header, message", [
         ("s0,s1,s2,x3,label", "missing ['s3'], unexpected ['x3']"),

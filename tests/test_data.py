@@ -84,6 +84,25 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="row 3, column 2"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        (b"a,b\n1.0,2.0\n1.5,\xff\n2.0,3.0\n", "is not UTF-8 text"),
+        (b"a,b\n1.0,2.0\n1.5," + b"9" * 140_000 + b"\n2.0,3.0\n",
+         "line 3: field larger than field limit"),
+    ], ids=["not-utf8", "over-field-limit"])
+    def test_unreadable_bytes_are_data_errors_naming_the_file(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        with pytest.raises(DataError, match=message) as info:
+            ingest_csv(path)
+        assert str(path) in str(info.value)
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1.0,2.0\n1.5,2.5\n")
+        series = ingest_csv(path)
+        assert series.sensor_names == ["a", "b"]
+        np.testing.assert_array_equal(series.values, [[1.0, 1.5], [2.0, 2.5]])
+
 class TestNormalization:
     def test_minmax_maps_to_unit_interval(self):
         rng = np.random.default_rng(1)

@@ -28,6 +28,7 @@ from pgad.model import (
     project_input_backward,
     spatial_aggregate,
     spatial_aggregate_backward,
+    windows_per_chunk,
 )
 from pgad.training import TrainState, batch_step, build_adjacencies
 
@@ -43,6 +44,7 @@ from helpers import (
     series_windows,
     tiny_model_config,
     trace_grads,
+    traced_peak,
     value_sorted_mix,
 )
 
@@ -544,6 +546,33 @@ def predict_permutes_output(n: int, workers: int) -> bool:
     return np.array_equal(p_out, base[:, perm])
 
 
+def chunk_runs(model, pooled: bool, failing: str | None = None):
+    """Records (thread id, window starts) of each chunk `model.predict` runs,
+    from each window's first value (the series holds its time index there),
+    and the calling thread's id. With `pooled` set, a chunk on another
+    thread waits until the calling thread has started one, and the calling
+    thread waits until another thread has started one. A chunk on the
+    `failing` thread ("calling" or "other") raises."""
+    caller = threading.get_ident()
+    started = {"calling": threading.Event(), "other": threading.Event()}
+    runs, lock = [], threading.Lock()
+    spatial = model._spatial
+
+    def recording(windows, *args):
+        side = "calling" if threading.get_ident() == caller else "other"
+        started[side].set()
+        if pooled:
+            started["other" if side == "calling" else "calling"].wait(10)
+        with lock:
+            runs.append((threading.get_ident(), [int(v) for v in windows[:, 0, 0]]))
+        if side == failing:
+            raise RuntimeError(f"chunk failed on the {side} thread")
+        return spatial(windows, *args)
+
+    model._spatial = recording
+    return runs, caller
+
+
 class TestPredictOverSeries:
     """`predict` over a series against `forward` run on the windows of the
     same chunks, so that every matmul sees the same row count: OpenBLAS
@@ -621,6 +650,39 @@ class TestPredictOverSeries:
             model.predict(starts, values, slot_ids, adjacencies, params, workers=2)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers, n_windows", [
+        (1, 150), (2, 150), (3, 150), (4, 150), (2, 70), (3, 70), (4, 70), (4, 1),
+    ])
+    def test_queue_runs_every_chunk_once(self, workers, n_windows):
+        """The chunks run once each, on the calling thread and at most
+        min(workers, chunks) - 1 others. The recording makes the other
+        threads wait until the calling thread has started a chunk, and the
+        calling thread wait until another thread has, so each takes part."""
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(
+            8, 8, n_windows, 1)
+        values[0] = np.arange(values.shape[1])  # a window's first value is its start
+        chunks = list(predict_chunks(starts, 8, model.config.window))
+        pooled = min(workers, len(chunks)) > 1
+        runs, caller = chunk_runs(model, pooled)
+        before = threading.active_count()
+        model.predict(starts, values, slot_ids, adjacencies, params, workers=workers)
+        assert threading.active_count() == before
+        assert sorted(chunk for _, chunk in runs) == [list(starts[lo:hi]) for lo, hi in chunks]
+        threads = {thread for thread, _ in runs}
+        assert caller in threads
+        assert len(threads) == min(workers, len(chunks))
+
+    @pytest.mark.parametrize("workers, failing", [
+        (1, "calling"), (2, "calling"), (2, "other"), (3, "calling"), (3, "other"),
+    ])
+    def test_chunk_error_on_any_thread_propagates(self, workers, failing):
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(8, 8, 150, 1)
+        chunk_runs(model, pooled=workers > 1, failing=failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"chunk failed on the {failing} thread"):
+            model.predict(starts, values, slot_ids, adjacencies, params, workers=workers)
+        assert threading.active_count() == before
+
     def test_no_temporal_branch_equals_forward(self):
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
             9, 8, 100, 1, use_temporal=False
@@ -657,6 +719,39 @@ class TestPredictOverSeries:
             model.predict(beyond, values, slot_ids, adjacencies, params)
         with pytest.raises(ValueError, match="workers"):
             model.predict(starts, values, slot_ids, adjacencies, params, workers=0)
+
+
+class TestPeakMemory:
+    """tracemalloc peaks of the default model, bounded by array sizes."""
+
+    @pytest.mark.parametrize("n", [8, 51])
+    def test_predict_holds_one_chunks_conv_features(self, n):
+        """At one worker, a chunk's gathered conv features are its largest
+        array and are dropped after the temporal reduction, before LayerNorm
+        and the MLP, so the peak stays below 1.35 times one chunk's features
+        plus the output (about 1.47 when the features live through the MLP,
+        1.64-1.74 when the spatial arrays do too)."""
+        config = ModelConfig(n_sensors=n)
+        model = Model(config)
+        rng = np.random.default_rng(n)
+        params = model.init_params(rng)
+        adjacencies = build_adjacencies(params, config.slots, min(15, n - 1))
+        per_chunk = windows_per_chunk(n)
+        starts = np.arange(3 * per_chunk + 7)
+        values = rng.normal(size=(n, starts[-1] + config.window))
+        slot_ids = starts % config.slots
+        model.predict(starts[:per_chunk], values, slot_ids[:per_chunk], adjacencies, params)
+        out, peak = traced_peak(model.predict, starts, values, slot_ids, adjacencies, params)
+        features = per_chunk * n * config.temporal_flat_dim() * 8
+        assert peak <= 1.35 * features + out.nbytes
+
+    def test_backward_releases_the_conv_features(self):
+        model, params, windows, slot_ids, adjacencies, _ = random_instance(
+            3, tiny_model_config(), batch=5)
+        preds, trace = model.forward(windows, slot_ids, adjacencies, params)
+        assert "t_flat" in trace.batch
+        trace_grads(model, trace, np.ones_like(preds), params)
+        assert "t_flat" not in trace.batch
 
 
 class TestSlotGrouping:

@@ -13,6 +13,7 @@ from pgad import model as model_module
 from pgad.model import (
     PREDICT_ROWS,
     Model,
+    ModelConfig,
     attention_backward,
     attention_coefficients,
 )
@@ -39,6 +40,7 @@ from helpers import (
     random_instance,
     tiny_model_config,
     trace_grads,
+    traced_peak,
     whole_batch_step,
 )
 
@@ -388,6 +390,7 @@ class TestBatchStep:
                 summed[name] = grad if name not in summed else summed[name] + grad
             part_grads = {name: np.zeros_like(p) for name, p in params.items()}
             part_d_alphas = {g["slot"]: np.zeros_like(g["att"]["alpha"]) for g in trace.groups}
+            _, trace = model.forward(windows[part], slot_ids[part], adjacencies, params)
             model.backward(trace, d_pred, params, part_grads, part_d_alphas)
             mix += part_grads["att_w"]
             for slot, d_alpha in part_d_alphas.items():
@@ -417,6 +420,21 @@ class TestBatchStep:
         assert abs(loss - whole_loss) <= 1e-12 * whole_loss
         for name in whole:
             assert grad_rel_err(grads[name], whole[name]) <= 1e-12, name
+
+    def test_peak_holds_one_micro_batch_trace(self):
+        """N=51, B=32 runs four micro-batches of 8 windows. A micro-batch's
+        conv features t_flat are its largest array, and backward forms one
+        grad of their size. Each trace is dropped after its backward, and
+        backward releases t_flat before it forms that grad, so the step's
+        peak stays below 2.5 times one micro-batch's t_flat."""
+        config = ModelConfig(n_sensors=51)
+        model, params, windows, slot_ids, adjacencies, targets = random_instance(
+            0, config, batch=32, k=15)
+        state = TrainState(params)
+        batch_step(model, windows, slot_ids, targets, adjacencies, state)
+        _, peak = traced_peak(batch_step, model, windows, slot_ids, targets, adjacencies, state)
+        t_flat = 8 * 51 * config.temporal_flat_dim() * 8
+        assert peak <= 2.5 * t_flat
 
     def test_attention_runs_once_per_slot_per_step(self, monkeypatch):
         model, params, windows, slot_ids, adjacencies, targets = step_instance(51, 32)
