@@ -8,20 +8,22 @@ by `pgad config show`. Exit codes: 0 success, 1 configuration problem,
 Importing this module pins BLAS and OpenMP to one thread per process
 unless the environment sets any of their thread counts: pgad spends its
 `threads` on predict threads or cell processes instead. It must
-therefore be imported before numpy is.
+therefore be imported before numpy is. `main` pins glibc's malloc
+thresholds (`pin_malloc_thresholds`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
+import itertools
 import json
 import logging
 import math
 import os
 import sys
-from contextlib import ExitStack
 from pathlib import Path
 
 # before numpy loads its BLAS. A user who sets any of these keeps control
@@ -63,6 +65,32 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+
+# mallopt parameters and values: M_MMAP_THRESHOLD 32 MiB and M_TRIM_THRESHOLD
+# 64 MiB, the most glibc's dynamic thresholds grow to on 64-bit
+_MALLOC_PINS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def pin_malloc_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds at the values its own dynamic
+    rule tops out at; returns whether it did. Without the pin, glibc
+    raises them only after a large block is freed, and until then it maps
+    and unmaps every predict chunk's arrays or trims the heap after each
+    chunk, a page fault per page touched. Skipped on another libc and
+    when the environment sets any MALLOC_* variable or GLIBC_TUNABLES."""
+    if "GLIBC_TUNABLES" in os.environ or any(var.startswith("MALLOC_") for var in os.environ):
+        return False
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no handle on the running process's libc
+        return False
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return [mallopt(param, value) for param, value in _MALLOC_PINS] == [1, 1]
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -380,23 +408,22 @@ def cmd_score(args, file_cfg) -> int:
         columns.append("label_true")
     threshold = _fmt(trace.threshold)
 
-    # one row of fields feeds both files: the plot line inserts the
+    # one set of columns feeds both files: the plot line inserts the
     # threshold column and leaves out the sensor name
-    with ExitStack() as stack:
-        writer = csv.writer(stack.enter_context(open(args.scores, "w", newline="")))
-        plot = stack.enter_context(open(args.plot, "w")) if args.plot else None
+    cells = [list(map(str, range(trace.t0, trace.t0 + trace.scores.size))),
+             list(map(_fmt, trace.scores.tolist())), list(map(_fmt, trace.smoothed.tolist())),
+             list(map(str, trace.labels_pred.astype(int).tolist()))]
+    if labels_true is not None:
+        cells.append(list(map(str, labels_true.astype(int).tolist())))
+    with open(args.scores, "w", newline="") as handle:
+        writer = csv.writer(handle)
         writer.writerow(columns + ["top_sensor"])
-        if plot is not None:
+        writer.writerows(zip(*cells, [names[i] for i in trace.top_sensor.tolist()]))
+    if args.plot:
+        with open(args.plot, "w") as plot:
             plot.write("# " + " ".join(columns[:3] + ["threshold"] + columns[3:]) + "\n")
-        for i in range(trace.scores.size):
-            row = [str(trace.t0 + i), _fmt(trace.scores[i]), _fmt(trace.smoothed[i]),
-                   str(int(trace.labels_pred[i]))]
-            if labels_true is not None:
-                row.append(str(int(labels_true[i])))
-            if plot is not None:
-                plot.write(" ".join(row[:3] + [threshold] + row[3:]) + "\n")
-            row.append(names[trace.top_sensor[i]])
-            writer.writerow(row)
+            plot.writelines(" ".join(row) + "\n" for row in
+                            zip(*cells[:3], itertools.repeat(threshold), *cells[3:]))
 
     payload = {
         "threshold": trace.threshold,
@@ -637,6 +664,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    pin_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

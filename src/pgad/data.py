@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,10 +86,9 @@ class SeriesMatrix:
         return SeriesMatrix(self.values[:, start:stop], self.sensor_names, labels)
 
 
-def _csv_rows(fh, path):
-    """The csv rows of the open file `fh`; a byte that is not UTF-8 or a
-    cell the csv module rejects is a `DataError` naming `path`."""
-    reader = csv.reader(fh)
+def _csv_rows(reader, path):
+    """The rows of the csv `reader`; a byte that is not UTF-8 or a cell the
+    csv module rejects is a `DataError` naming `path`."""
     try:
         yield from reader
     except UnicodeDecodeError as exc:
@@ -97,65 +97,100 @@ def _csv_rows(fh, path):
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
+def _numpy_cells(path, header_lines: int, n_columns: int) -> np.ndarray | None:
+    """The (rows, n_columns) cell matrix of the CSV file below its first
+    `header_lines` lines, parsed in one numpy call; None unless every cell
+    parses and every row has n_columns cells. A line longer than the csv
+    module's field limit is left to the csv parse, which rejects a field
+    that long."""
+    with open(path, "rb") as fh:
+        if max(map(len, fh), default=0) > csv.field_size_limit():
+            return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a file without data rows warns
+        try:
+            cells = np.loadtxt(path, delimiter=",", skiprows=header_lines, comments=None,
+                               quotechar='"', ndmin=2, encoding="utf-8-sig")
+        except ValueError:  # UnicodeDecodeError included
+            return None
+    return cells if cells.shape[0] and cells.shape[1] == n_columns else None
+
+
+def _csv_cells(rows, header, label_idx) -> list[list[float]]:
+    """The csv rows `rows` below the header parsed cell by cell; the first
+    ragged row, non-numeric cell or label outside {0, 1} in a finite row is
+    a `DataError` naming its row, 1-based among the data rows."""
+    cells = []
+    for r, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"row {r} has {len(row)} cells, expected {len(header)}"
+            )
+        parsed = []
+        for c, cell in enumerate(row, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"non-numeric value {cell.strip()!r} at row {r}, "
+                    f"column {c} ({header[c - 1]!r})"
+                ) from None
+        if label_idx is not None and all(map(math.isfinite, parsed)) \
+                and parsed[label_idx] not in (0.0, 1.0):
+            raise DataError(
+                f"label at row {r} must be 0 or 1, got {parsed[label_idx]}"
+            )
+        cells.append(parsed)
+    return cells
+
+
+def _labels_valid(cells: np.ndarray, label_idx) -> bool:
+    finite = np.isfinite(cells).all(axis=1)
+    return label_idx is None or bool(np.isin(cells[finite, label_idx], (0.0, 1.0)).all())
+
+
 def ingest_csv(path) -> SeriesMatrix:
     """Read a series CSV; the ``label`` column, when present, is taken as
     the label vector. A UTF-8 byte-order mark before the header is skipped.
 
     Rows containing NaN/Inf are dropped (counted in a warning). A cell
     that does not parse as a number is a hard error naming its row and
-    column; row numbers count data rows, 1-based.
+    column; row numbers count data rows, 1-based. A well-formed file's
+    cells are parsed in one numpy call; any other file takes the cell by
+    cell csv parse, which finds its first error.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_rows(fh, path)
+        reader = csv.reader(fh)
+        rows = _csv_rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise DataError(f"{path} is empty") from None
         header = [name.strip() for name in header]
         label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
         sensor_names = [n for i, n in enumerate(header) if i != label_idx]
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        dropped = 0
-        for r, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"row {r} has {len(row)} cells, expected {len(header)}"
-                )
-            parsed = []
-            for c, cell in enumerate(row, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {cell.strip()!r} at row {r}, "
-                        f"column {c} ({header[c - 1]!r})"
-                    ) from None
-            if not all(map(math.isfinite, parsed)):
-                dropped += 1
-                continue
-            if label_idx is not None:
-                lab = parsed.pop(label_idx)
-                if lab not in (0.0, 1.0):
-                    raise DataError(
-                        f"label at row {r} must be 0 or 1, got {lab}"
-                    )
-                labels.append(int(lab))
-            rows.append(parsed)
-
+        cells = _numpy_cells(path, reader.line_num, len(header))
+        if cells is None or not _labels_valid(cells, label_idx):
+            parsed = _csv_cells(rows, header, label_idx)
+            cells = np.array(parsed, dtype=np.float64).reshape(len(parsed), len(header))
+    finite = np.isfinite(cells).all(axis=1)
+    dropped = int(finite.size - finite.sum())
     if dropped:
         logger.warning("%s: dropped %d rows with non-finite values", path, dropped)
-    if len(rows) < 2:
+    if finite.sum() < 2:
         raise DataError(f"{path} has fewer than 2 usable rows")
-    values = np.asarray(rows, dtype=np.float64).T
-    label_vec = np.asarray(labels, dtype=np.int64) if label_idx is not None else None
-    return SeriesMatrix(values, sensor_names, label_vec)
+    cells = cells[finite]
+    label_vec = None
+    if label_idx is not None:
+        label_vec = cells[:, label_idx].astype(np.int64)
+        cells = np.delete(cells, label_idx, axis=1)
+    return SeriesMatrix(cells.T, sensor_names, label_vec)
 
 
 def write_csv(series: SeriesMatrix, path) -> None:

@@ -28,12 +28,16 @@ permutation of the sensors.
 `Model.predict` scores the windows of a series in chunks of about
 PREDICT_ROWS rows. It takes each slot's attention coefficients and mix
 order once per call and runs the conv stack once over each chunk's span
-of the series, which overlapping windows share. A chunk keeps its
-gathered conv features, its largest array, only until the temporal
-reduction. The calling thread and up to `workers` - 1 pool threads take
-the chunks from one queue; the bounds do not depend on the thread count,
-so neither does any output bit. With one conv layer its predictions equal
-`forward`'s on the same chunk bit for bit; with more, the deeper layers'
+of the series, which overlapping windows share. Over a span of
+consecutive windows the temporal reduction is one long cross-correlation
+of the conv features with `tred_w`, which it takes by FFT
+(`correlate_span`); a chunk of windows further apart gathers each
+window's features for the GEMM `forward` runs, and keeps them only until
+the reduction. The calling thread and up to `workers` - 1 pool threads
+take the chunks from one queue; the bounds do not depend on the thread
+count, so neither does any output bit. The FFT reduction agrees with
+`forward`'s to rounding; the gathered one, with one conv layer, equals it
+bit for bit on the same chunk. With more conv layers, the deeper layers'
 matmul over a span may round the last bit differently from the same
 matmul per window.
 """
@@ -433,6 +437,38 @@ def windows_per_chunk(n_sensors: int) -> int:
     return max(1, PREDICT_ROWS // n_sensors)
 
 
+def fft_size(n: int) -> int:
+    """The smallest 2-3-5-smooth integer >= max(n, 1), a size the FFT does
+    fast."""
+    size = max(n, 1)
+    while True:
+        rest = size
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 1
+
+
+def kernel_spectrum(tred_w, channels: int, size: int) -> np.ndarray:
+    """conj(rfft(tred_w)) at `size`, shaped (size // 2 + 1, channels,
+    temporal_dim): each output's (channels, L) conv-feature weights as the
+    kernel of one cross-correlation per channel."""
+    kernel = tred_w.reshape(tred_w.shape[0], channels, -1)
+    return np.ascontiguousarray(np.conj(np.fft.rfft(kernel, size)).transpose(2, 1, 0))
+
+
+def correlate_span(feats, spectrum, size: int, count: int) -> np.ndarray:
+    """The temporal reduction, without its bias, of the `count` consecutive
+    windows whose conv features overlap in the span's features `feats`
+    (N, C, S): h[o, n] = tred_w @ feats[n, :, o : o + L].flatten(), as a
+    cross-correlation with `kernel_spectrum(tred_w, C, size)` for a `size`
+    >= S, so that no output wraps around. Returns (count, N, temporal_dim)."""
+    products = np.moveaxis(np.fft.rfft(feats, size), -1, 0) @ spectrum  # (F, N, D)
+    return np.fft.irfft(products, size, axis=0)[:count]
+
+
 def predict_chunks(starts: np.ndarray, n_sensors: int, window: int):
     """(lo, hi) bounds of `Model.predict`'s chunks over ascending `starts`.
 
@@ -607,15 +643,21 @@ class Model:
         per call, on the calling thread. The windows run in
         `predict_chunks`: each chunk copies its span of the series, runs
         the spatial blocks over its windows as `forward` does and keeps only
-        h_s, runs the conv stack once over the span, gathers every window's
-        conv features from that one output, reduces them to h_t and drops
-        them, then runs LayerNorm and the MLP and writes its own rows of the
+        h_s, and runs the conv stack once over the span. When the chunk's
+        starts are consecutive and the FFT costs fewer multiply-adds, h_t
+        is the cross-correlation of the span's conv features with `tred_w`
+        (`correlate_span`), whose kernel spectra are taken once per FFT
+        size before any chunk runs; otherwise every window's conv features
+        are gathered from the span's, reduced by one GEMM and dropped. Then
+        LayerNorm and the MLP run and the chunk writes its own rows of the
         output. The chunks wait in one queue, which the calling thread
         drains together with min(`workers`, chunks) - 1 pool threads that
         live for the call, so `workers` = 1 starts no thread; numpy
-        releases the GIL in BLAS and in large array loops. An exception in
-        any chunk is raised here once every thread has stopped. The chunk
-        bounds do not depend on `workers`, so every output bit is the same
+        releases the GIL in BLAS, the FFT and large array loops. A chunk
+        that raises empties the queue, so the other threads stop after
+        their current chunk, and the exception is raised here once every
+        thread has stopped. The chunk bounds and the reduction each chunk
+        takes do not depend on `workers`, so every output bit is the same
         at any count.
         """
         cfg = self.config
@@ -638,10 +680,15 @@ class Model:
         filter_layers = self._filter_layers(params) if cfg.use_temporal else None
         out = np.empty((starts.size, cfg.n_sensors))
 
-        def span_temporal(span, local):
-            """h_t of the windows at offsets `local` of `span`."""
+        def span_temporal(span, local, fft):
+            """h_t of the windows at offsets `local` of `span`: with `fft`, a
+            (size, kernel spectrum) pair, by cross-correlation, else by
+            gathering each window's conv features for one GEMM."""
             feats = conv_stack(span, filter_layers, cfg.dilation)["t_flat"]
             feats = feats.reshape(cfg.n_sensors, cfg.conv_channels_total(), -1)
+            if fft is not None:
+                size, spectrum = fft
+                return correlate_span(feats, spectrum, size, local.size) + params["tred_b"]
             # conv output p of the span is output p - o of the window at offset o
             per_window = np.lib.stride_tricks.sliding_window_view(
                 feats, cfg.conv_out_len(), axis=-1)
@@ -649,7 +696,7 @@ class Model:
             del feats, per_window  # the span's features are dead once gathered
             return project_input(t_flat, params["tred_w"], params["tred_b"])
 
-        def run_chunk(lo, hi):
+        def run_chunk(lo, hi, fft):
             span = np.ascontiguousarray(values[:, starts[lo] : starts[hi - 1] + w])
             local = starts[lo:hi] - starts[lo]
             chunk_slots = slot_ids[lo:hi]
@@ -660,20 +707,41 @@ class Model:
                 [orders[slot] for slot in present],
                 [np.flatnonzero(chunk_slots == slot) for slot in present], params,
             )["h_s"]
-            h_t = span_temporal(span, local) if cfg.use_temporal else None
+            h_t = span_temporal(span, local, fft) if cfg.use_temporal else None
             out[lo:hi] = self._fuse(h_s, h_t, params)["pred"]
 
+        # A chunk of consecutive windows reduces its span's conv features by
+        # FFT when that costs fewer multiply-adds: about 2 * size per sensor,
+        # channel and output against count * L for the gathered GEMM. The
+        # kernel spectra are taken here, once per size.
         todo = queue.SimpleQueue()
-        for bounds in predict_chunks(starts, cfg.n_sensors, w):
-            todo.put(bounds)
+        spectra = {}
+        for lo, hi in predict_chunks(starts, cfg.n_sensors, w):
+            fft = None
+            if cfg.use_temporal and (np.diff(starts[lo:hi]) == 1).all():
+                conv_len = cfg.conv_out_len()
+                size = fft_size(hi - lo - 1 + conv_len)
+                if 2 * size < (hi - lo) * conv_len:
+                    if size not in spectra:
+                        spectra[size] = size, kernel_spectrum(
+                            params["tred_w"], cfg.conv_channels_total(), size)
+                    fft = spectra[size]
+            todo.put((lo, hi, fft))
+
+        def take():
+            try:
+                return todo.get_nowait()
+            except queue.Empty:
+                return None
 
         def drain():
-            while True:
+            while (chunk := take()) is not None:
                 try:
-                    bounds = todo.get_nowait()
-                except queue.Empty:
-                    return
-                run_chunk(*bounds)
+                    run_chunk(*chunk)
+                except BaseException:
+                    while take() is not None:  # the other threads stop at their next chunk
+                        pass
+                    raise
 
         helpers = min(workers, todo.qsize()) - 1
         if helpers < 1:

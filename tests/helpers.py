@@ -7,6 +7,8 @@ test must agree with these within the stated tolerances.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import tracemalloc
 
@@ -224,6 +226,39 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def gathered_temporal_reduction(feats, local, tred_w, tred_b) -> np.ndarray:
+    """The temporal reduction of the windows at offsets `local` of a span
+    whose conv features are feats (N, C, S): each window's (C, L) slice of
+    them gathered and flattened, then one GEMM with tred_w (D, C * L).
+    Returns (len(local), N, D)."""
+    conv_len = tred_w.shape[1] // feats.shape[1]
+    per_window = np.lib.stride_tricks.sliding_window_view(feats, conv_len, axis=-1)
+    t_flat = np.moveaxis(per_window, 2, 0)[local].reshape(len(local), feats.shape[0], -1)
+    return t_flat @ tred_w.T + tred_b
+
+
+def score_files_loop(trace, names) -> tuple[str, str]:
+    """The scores CSV and the --plot file `pgad score` writes for `trace`,
+    one row at a time, as text: the row writer's reference."""
+    columns = ["t", "score", "smoothed", "label_pred"]
+    if trace.labels_true is not None:
+        columns.append("label_true")
+    threshold = repr(float(trace.threshold))
+    scores, plot = io.StringIO(newline=""), io.StringIO()
+    writer = csv.writer(scores)
+    writer.writerow(columns + ["top_sensor"])
+    plot.write("# " + " ".join(columns[:3] + ["threshold"] + columns[3:]) + "\n")
+    for i in range(trace.scores.size):
+        row = [str(trace.t0 + i), repr(float(trace.scores[i])), repr(float(trace.smoothed[i])),
+               str(int(trace.labels_pred[i]))]
+        if trace.labels_true is not None:
+            row.append(str(int(trace.labels_true[i])))
+        plot.write(" ".join(row[:3] + [threshold] + row[3:]) + "\n")
+        row.append(names[trace.top_sensor[i]])
+        writer.writerow(row)
+    return scores.getvalue(), plot.getvalue()
 
 
 def series_windows(values, starts, window: int) -> np.ndarray:

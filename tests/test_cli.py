@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,13 @@ import pytest
 import pgad
 from pgad import cli
 from pgad.checkpoint import load_checkpoint
-from pgad.data import write_csv
+from pgad.data import ingest_csv, write_csv
 from pgad.errors import ConfigError
+from pgad.scoring import score_series
 from pgad.training import MIN_VAL_WINDOWS, TrainConfig
 
 from conftest import TINY_SYNTH, TINY_TRAIN
-from helpers import series_of, strip_digests
+from helpers import score_files_loop, series_of, strip_digests
 
 
 def read_csv_rows(path):
@@ -411,6 +413,23 @@ class TestScore:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("data", ["test.csv", "train.csv"], ids=["labeled", "unlabeled"])
+    def test_row_writer_matches_the_row_loop(self, cli_workspace, tmp_path, data):
+        scores, plot = tmp_path / "scores.csv", tmp_path / "plot.dat"
+        checkpoint = cli_workspace / "checkpoint.npz"
+        assert cli.main([
+            "score", str(checkpoint), str(cli_workspace / data), "--threshold", "fixed:0.5",
+            "--scores", str(scores), "--metrics", str(tmp_path / "m.json"), "--plot", str(plot),
+        ]) == 0
+        ckpt = load_checkpoint(checkpoint)
+        trace, _ = score_series(ckpt, ingest_csv(cli_workspace / data),
+                                threshold_mode="fixed", fixed_value=0.5)
+        assert (trace.labels_true is None) == (data == "train.csv")
+        assert 0 < trace.labels_pred.sum() < trace.labels_pred.size
+        want_scores, want_plot = score_files_loop(trace, ckpt.meta["sensor_names"])
+        assert scores.read_bytes() == want_scores.encode()
+        assert plot.read_bytes() == want_plot.encode()
+
     def test_zero_threads_means_one_per_available_cpu_up_to_the_cap(self, monkeypatch):
         args = cli.build_parser().parse_args(["score", "m.npz", "d.csv", "--threads", "0"])
         for cpus, expected in ((1, 1), (2, 2), (64, cli.DEFAULT_THREADS_CAP)):
@@ -720,6 +739,64 @@ class TestImportSideEffects:
     def test_cli_import_loads_no_multiprocessing(self):
         out = run_python("import sys, pgad.cli; print('multiprocessing' in sys.modules)")
         assert out == "False"
+
+
+def has_glibc() -> bool:
+    return "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})
+
+
+class TestMallocPin:
+    @pytest.mark.skipif(not has_glibc(), reason="the pin is glibc's mallopt")
+    def test_repeated_predict_takes_no_page_faults(self):
+        """After `main`'s pin, a second predict over the same series reuses
+        the heap pages the first one touched. Without it, glibc trims the
+        heap after each chunk: about 500 minor faults per chunk at N=8."""
+        code = textwrap.dedent("""\
+            import resource
+            import numpy as np
+            from pgad import cli
+            from pgad.model import Model, ModelConfig, predict_chunks, windows_per_chunk
+            from pgad.training import build_adjacencies
+            assert cli.main(["config", "show"]) == 0
+            config = ModelConfig(n_sensors=8)
+            model = Model(config)
+            rng = np.random.default_rng(0)
+            params = model.init_params(rng)
+            adjacencies = build_adjacencies(params, config.slots, 7)
+            starts = np.arange(10 * windows_per_chunk(8))
+            values = rng.normal(size=(8, starts[-1] + config.window))
+            slots = starts % config.slots
+            chunks = len(list(predict_chunks(starts, 8, config.window)))
+            for workers in (1, 2):
+                model.predict(starts, values, slots, adjacencies, params, workers=workers)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                model.predict(starts, values, slots, adjacencies, params, workers=workers)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                print(workers, chunks, faults)
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs = [line.split() for line in done.stdout.splitlines()[-2:]]
+        assert [workers for workers, _, _ in runs] == ["1", "2"]
+        for workers, chunks, faults in runs:
+            assert int(chunks) == 10
+            assert int(faults) < 50 * int(chunks), (workers, faults)
+
+    @pytest.mark.parametrize("var", ["MALLOC_ARENA_MAX", "MALLOC_TOP_PAD_", "GLIBC_TUNABLES"])
+    def test_a_user_malloc_setting_skips_the_pin(self, monkeypatch, var):
+        monkeypatch.setenv(var, "1")
+        assert cli.pin_malloc_thresholds() is False
+
+    @pytest.mark.skipif(not has_glibc(), reason="the pin is glibc's mallopt")
+    def test_pins_on_glibc(self, monkeypatch):
+        for var in list(os.environ):
+            if var.startswith("MALLOC_") or var == "GLIBC_TUNABLES":
+                monkeypatch.delenv(var)
+        assert cli.pin_malloc_thresholds() is True
 
 
 class TestConfigCommand:

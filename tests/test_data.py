@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pgad import data as data_module
 from pgad.data import (
     NormalizationStats,
     SeriesMatrix,
@@ -102,6 +103,77 @@ class TestCsvRoundTrip:
         series = ingest_csv(path)
         assert series.sensor_names == ["a", "b"]
         np.testing.assert_array_equal(series.values, [[1.0, 1.5], [2.0, 2.5]])
+
+class TestCsvParses:
+    """The one-call numpy parse of a well-formed file against the cell by
+    cell csv parse and against the values written."""
+
+    @staticmethod
+    def parse_both_ways(path, monkeypatch):
+        """ingest_csv(path) with the csv parse barred, then with the numpy
+        parse barred."""
+        def barred(*args):
+            raise AssertionError("the numpy parse should have read this file")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "_csv_cells", barred)
+            fast = ingest_csv(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "_numpy_cells", lambda *args: None)
+            slow = ingest_csv(path)
+        return fast, slow
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_synth_file_with_gaps_quotes_blank_lines_and_bom(self, tmp_path, monkeypatch,
+                                                             newline):
+        series = generate_synthetic(5, 300, 24, 0.05, seed=4)
+        plain = tmp_path / "plain.csv"
+        write_csv(series, plain)
+        lines = plain.read_text().splitlines()
+        assert lines[0] == "s0,s1,s2,s3,s4,label"
+        dropped = [3, 40, 41, 299]  # data rows, 0-based
+        for row, cell in zip(dropped, ["nan", "inf", "-inf", "NaN"]):
+            cells = lines[row + 1].split(",")
+            cells[row % 6] = cell  # a sensor cell, or the label cell in the last two
+            lines[row + 1] = ",".join(cells)
+        lines[8] = ",".join(f'"{cell}"' for cell in lines[8].split(","))
+        lines[20] = lines[20].replace(",", ", ")
+        for at in (250, 100, 2, 1):
+            lines.insert(at, "")
+        path = tmp_path / "edited.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + newline.join(lines + [""]).encode())
+        keep = np.setdiff1d(np.arange(300), dropped)
+        for parsed in self.parse_both_ways(path, monkeypatch):
+            assert parsed.sensor_names == series.sensor_names
+            np.testing.assert_array_equal(parsed.values, series.values[:, keep])
+            np.testing.assert_array_equal(parsed.labels, series.labels[keep])
+            assert parsed.labels.dtype == np.int64
+
+    def test_unlabeled_single_sensor(self, tmp_path, monkeypatch):
+        path = tmp_path / "one.csv"
+        path.write_text("a\n1.5\n-2e-3\n\n7\n")
+        for parsed in self.parse_both_ways(path, monkeypatch):
+            assert parsed.labels is None
+            np.testing.assert_array_equal(parsed.values, [[1.5, -2e-3, 7.0]])
+
+    def test_bad_label_row_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,label\n1.0,0\n\n2.0,2\n3.0,1\n")
+        with pytest.raises(DataError, match="label at row 3 must be 0 or 1, got 2.0"):
+            ingest_csv(path)
+
+    def test_ragged_row_is_named(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1.0,2.0\n1.5\n2.0,3.0\n")
+        with pytest.raises(DataError, match="row 2 has 1 cells, expected 2"):
+            ingest_csv(path)
+
+    def test_over_long_finite_cell_is_a_data_error(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"a,b\n1.0,2.0\n1.5,0." + b"0" * 140_000 + b"1\n2.0,3.0\n")
+        with pytest.raises(DataError, match="line 3: field larger than field limit"):
+            ingest_csv(path)
+
 
 class TestNormalization:
     def test_minmax_maps_to_unit_interval(self):
