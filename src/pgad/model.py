@@ -26,20 +26,23 @@ rows, which makes predictions bit-identical under any simultaneous
 permutation of the sensors.
 
 `Model.predict` scores the windows of a series in chunks of about
-PREDICT_ROWS rows. It takes each slot's attention coefficients and mix
-order once per call and runs the conv stack once over each chunk's span
-of the series, which overlapping windows share. Over a span of
-consecutive windows the temporal reduction is one long cross-correlation
-of the conv features with `tred_w`, which it takes by FFT
-(`correlate_span`); a chunk of windows further apart gathers each
-window's features for the GEMM `forward` runs, and keeps them only until
-the reduction. The calling thread and up to `workers` - 1 pool threads
-take the chunks from one queue; the bounds do not depend on the thread
-count, so neither does any output bit. The FFT reduction agrees with
-`forward`'s to rounding; the gathered one, with one conv layer, equals it
-bit for bit on the same chunk. With more conv layers, the deeper layers'
-matmul over a span may round the last bit differently from the same
-matmul per window.
+PREDICT_ROWS rows, twice a training micro-batch's BATCH_ROWS: it keeps no
+activation for a backward. It takes each slot's attention coefficients
+and mix order once per call and runs the conv stack once over each
+chunk's span of the series, which overlapping windows share. Over a span
+of consecutive windows the temporal reduction is one long
+cross-correlation of the conv features with `tred_w`, which it takes by
+FFT (`correlate_span`) at one size per call; a chunk of windows further
+apart gathers each window's features for the GEMM `forward` runs, and
+keeps them only until the reduction. Both write h_t into the chunk's one
+fused buffer beside h_s, and LayerNorm and the MLP run in place on it
+(`normalize_and_predict`, the arithmetic `forward` runs). The calling
+thread and up to `workers` - 1 pool threads take the chunks from one
+queue; the bounds do not depend on the thread count, so neither does any
+output bit. The FFT reduction agrees with `forward`'s to rounding; the
+gathered one, with one conv layer, equals it bit for bit on the same
+chunk. With more conv layers, the deeper layers' matmul over a span may
+round the last bit differently from the same matmul per window.
 """
 
 from __future__ import annotations
@@ -378,26 +381,60 @@ def conv_stack_backward(layers, filter_layers, d_t_flat) -> list[dict]:
     return grads
 
 
+def normalize_and_predict(fused, params, ln_eps: float = 1e-5, keep: bool = True) -> dict:
+    """LayerNorm -> 2-layer MLP -> per-node scalar `pred` over the fused
+    features `fused` (..., F), a C-contiguous buffer it overwrites.
+
+    The LayerNorm statistics are `np.mean` and `np.var`'s own ufuncs in
+    their order, so each bit is theirs; the squared deviations use the
+    MLP's hidden buffer as scratch before its GEMM fills it. With `keep`,
+    `fused` ends up as the normalized input and the result also holds the
+    `xhat`, `inv_std`, LayerNorm output `y_ln`, ReLU mask `z1_mask` and
+    activations `r1` that backward needs. Without it, the LayerNorm output
+    overwrites `fused` too, and only `pred` is returned.
+    """
+    width = fused.shape[-1]
+    hidden = params["mlp_w1"].shape[0]
+    rows = fused.size // width
+    scratch = np.empty(rows * max(width, hidden))
+    mu = np.add.reduce(fused, axis=-1, keepdims=True)
+    mu /= width
+    fused -= mu
+    squares = np.multiply(fused, fused, out=scratch[: fused.size].reshape(fused.shape))
+    inv_std = np.add.reduce(squares, axis=-1, keepdims=True)
+    inv_std /= width
+    inv_std += ln_eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    fused *= inv_std
+    y_ln = fused * params["ln_gain"] if keep else np.multiply(fused, params["ln_gain"], out=fused)
+    y_ln += params["ln_bias"]
+    z1 = np.matmul(_flat(y_ln), params["mlp_w1"].T,
+                   out=scratch[: rows * hidden].reshape(rows, hidden))
+    z1 += params["mlp_b1"]
+    z1 = z1.reshape(fused.shape[:-1] + (hidden,))
+    z1_mask = z1 > 0 if keep else None
+    r1 = np.maximum(z1, 0.0, out=z1)  # ReLU in place
+    pred = np.einsum("...h,h->...", r1, params["mlp_w2"]) + params["mlp_b2"]
+    if not keep:
+        return {"pred": pred}
+    return {
+        "xhat": fused, "inv_std": inv_std, "y_ln": y_ln,
+        "z1_mask": z1_mask, "r1": r1, "pred": pred,
+    }
+
+
 def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
     """[h_t || h_s] -> LayerNorm -> 2-layer MLP -> per-node scalar `pred`.
 
-    `h_t` may be None when the temporal branch is disabled. Also returns
-    the normalized input, LayerNorm and MLP activations backward needs.
+    `h_t` may be None when the temporal branch is disabled. The inputs are
+    copied into one fused buffer for `normalize_and_predict`, which also
+    returns the normalized input, LayerNorm and MLP activations backward
+    needs.
     """
-    fused = h_s if h_t is None else np.concatenate([h_t, h_s], axis=-1)
-    mu = fused.mean(-1, keepdims=True)
-    var = fused.var(-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + ln_eps)
-    xhat = (fused - mu) * inv_std
-    y_ln = params["ln_gain"] * xhat + params["ln_bias"]
-    z1 = project_input(y_ln, params["mlp_w1"], params["mlp_b1"])
-    z1_mask = z1 > 0
-    r1 = np.maximum(z1, 0.0, out=z1)  # ReLU in place
-    pred = np.einsum("...h,h->...", r1, params["mlp_w2"]) + params["mlp_b2"]
-    return {
-        "xhat": xhat, "inv_std": inv_std, "y_ln": y_ln,
-        "z1_mask": z1_mask, "r1": r1, "pred": pred,
-    }
+    fused = np.array(h_s, dtype=np.float64) if h_t is None \
+        else np.concatenate([h_t, h_s], axis=-1)
+    return normalize_and_predict(fused, params, ln_eps)
 
 
 def fuse_and_predict_backward(saved, d_pred, params, t_dim: int):
@@ -424,17 +461,32 @@ def fuse_and_predict_backward(saved, d_pred, params, t_dim: int):
 # ---------------------------------------------------------------------------
 # full model
 
-# Rows (windows x sensors) per chunk of `Model.predict` and per training
-# micro-batch. Every block's intermediates scale with the rows, so a chunk
-# of `windows_per_chunk(N)` windows keeps them about the same size at any
-# N: 64 windows at N=8, 10 at N=51.
-PREDICT_ROWS = 512
+# Rows (windows x sensors) per training micro-batch. Every block's
+# intermediates scale with the rows, so a micro-batch of
+# `windows_per_batch(N)` windows keeps them about the same size at any N:
+# 64 windows at N=8, 10 at N=51.
+BATCH_ROWS = 512
+# Rows per chunk of `Model.predict`. A chunk keeps no activation for a
+# backward, so twice a micro-batch's rows fit in the same memory: 128
+# windows at N=8, 20 at N=51.
+PREDICT_ROWS = 2 * BATCH_ROWS
+
+
+def windows_per_batch(n_sensors: int) -> int:
+    """The most windows in one training micro-batch:
+    max(1, BATCH_ROWS // n_sensors)."""
+    return max(1, BATCH_ROWS // n_sensors)
 
 
 def windows_per_chunk(n_sensors: int) -> int:
-    """The most windows in one predict chunk or training micro-batch:
-    max(1, PREDICT_ROWS // n_sensors)."""
+    """The most windows in one predict chunk: max(1, PREDICT_ROWS // n_sensors)."""
     return max(1, PREDICT_ROWS // n_sensors)
+
+
+def present_slots(slot_ids) -> list[int]:
+    """The distinct slot ids, ascending. `np.unique` would import numpy.ma
+    on its first call, which costs more than the whole sort."""
+    return sorted(set(np.asarray(slot_ids).tolist()))
 
 
 def fft_size(n: int) -> int:
@@ -464,23 +516,34 @@ def correlate_span(feats, spectrum, size: int, count: int) -> np.ndarray:
     windows whose conv features overlap in the span's features `feats`
     (N, C, S): h[o, n] = tred_w @ feats[n, :, o : o + L].flatten(), as a
     cross-correlation with `kernel_spectrum(tred_w, C, size)` for a `size`
-    >= S, so that no output wraps around. Returns (count, N, temporal_dim)."""
-    products = np.moveaxis(np.fft.rfft(feats, size), -1, 0) @ spectrum  # (F, N, D)
+    >= S, so that no output wraps around. Returns (count, N, temporal_dim),
+    a view of the whole inverse transform. The features are released once
+    transformed, unless the caller holds them."""
+    spectra = np.fft.rfft(feats, size)
+    del feats
+    products = np.moveaxis(spectra, -1, 0) @ spectrum  # (F, N, D)
+    del spectra
     return np.fft.irfft(products, size, axis=0)[:count]
 
 
 def predict_chunks(starts: np.ndarray, n_sensors: int, window: int):
     """(lo, hi) bounds of `Model.predict`'s chunks over ascending `starts`.
 
-    A chunk holds at most `windows_per_chunk(n_sensors)` windows, and its
-    span of the series at most that many windows' length, so windows
-    further apart than their length do not stretch the span conv.
+    A chunk holds at most `windows_per_chunk(n_sensors)` consecutive
+    windows. Windows that are not all consecutive gather their conv
+    features, so their chunk holds at most a micro-batch's
+    `windows_per_batch(n_sensors)`, and its span of the series at most that
+    many windows' length, so windows further apart than their length do
+    not stretch the span conv.
     """
-    per_chunk = windows_per_chunk(n_sensors)
     lo = 0
     while lo < len(starts):
-        reach = np.searchsorted(starts, starts[lo] + (per_chunk - 1) * window, side="right")
-        hi = min(lo + per_chunk, int(reach))
+        for per_chunk in (windows_per_chunk(n_sensors), windows_per_batch(n_sensors)):
+            reach = np.searchsorted(starts, starts[lo] + (per_chunk - 1) * window,
+                                    side="right")
+            hi = min(lo + per_chunk, int(reach))
+            if (np.diff(starts[lo:hi]) == 1).all():
+                break
         yield lo, hi
         lo = hi
 
@@ -594,11 +657,6 @@ class Model:
         values.update(spatial_aggregate(x_proj, orders, params["att_w"], rows))
         return values
 
-    def _fuse(self, h_s, h_t, params) -> dict:
-        """LayerNorm and the MLP over [h_t || h_s] (h_t None without the
-        temporal branch): `fuse_and_predict` at the config's epsilon."""
-        return fuse_and_predict(h_s, h_t, params, self.config.ln_eps)
-
     def forward(self, windows, slot_ids, adjacencies, params, attention=None):
         """windows (B, N, w); slot_ids (B,); adjacencies: one per slot.
 
@@ -617,7 +675,7 @@ class Model:
                 f"windows shaped {windows.shape}, expected "
                 f"(B, {cfg.n_sensors}, {cfg.window})"
             )
-        present = np.unique(slot_ids).tolist()
+        present = present_slots(slot_ids)
         if attention is None:
             attention = self.slot_attention(present, adjacencies, params)
         groups = [{"idx": np.flatnonzero(slot_ids == slot), "slot": slot,
@@ -631,7 +689,7 @@ class Model:
         if cfg.use_temporal:
             values.update(conv_stack(windows, self._filter_layers(params), cfg.dilation))
             h_t = project_input(values["t_flat"], params["tred_w"], params["tred_b"])
-        values.update(self._fuse(values["h_s"], h_t, params))
+        values.update(fuse_and_predict(values["h_s"], h_t, params, cfg.ln_eps))
         return values["pred"], ForwardTrace(values, groups)
 
     def predict(self, starts, values, slot_ids, adjacencies, params, workers: int = 1):
@@ -641,24 +699,29 @@ class Model:
 
         Each slot's attention coefficients and mix order are taken once
         per call, on the calling thread. The windows run in
-        `predict_chunks`: each chunk copies its span of the series, runs
-        the spatial blocks over its windows as `forward` does and keeps only
-        h_s, and runs the conv stack once over the span. When the chunk's
-        starts are consecutive and the FFT costs fewer multiply-adds, h_t
-        is the cross-correlation of the span's conv features with `tred_w`
-        (`correlate_span`), whose kernel spectra are taken once per FFT
-        size before any chunk runs; otherwise every window's conv features
-        are gathered from the span's, reduced by one GEMM and dropped. Then
-        LayerNorm and the MLP run and the chunk writes its own rows of the
-        output. The chunks wait in one queue, which the calling thread
-        drains together with min(`workers`, chunks) - 1 pool threads that
-        live for the call, so `workers` = 1 starts no thread; numpy
+        `predict_chunks`: each chunk copies its span of the series and runs
+        the spatial blocks over its windows as `forward` does. It then
+        copies h_s into one (windows, N, T + S) buffer, drops the spatial
+        arrays and runs the conv stack once over the span. When the
+        chunk's starts are consecutive and the FFT costs fewer
+        multiply-adds, h_t is the cross-correlation of the span's conv
+        features with `tred_w` (`correlate_span`), which drops the features
+        once transformed. Every chunk takes the FFT size of the call's
+        longest consecutive chunk, whose kernel spectrum is taken once
+        before any chunk runs. Otherwise every window's conv features are
+        gathered from the span's, reduced by one GEMM and dropped. Either
+        way h_t, with its bias, is written straight into the buffer's first
+        T columns, and LayerNorm and the MLP run in place on the buffer
+        (`normalize_and_predict` without `keep`). The chunk writes its own
+        rows of the output. The chunks wait in one queue, which the calling
+        thread drains together with min(`workers`, chunks) - 1 pool threads
+        that live for the call, so `workers` = 1 starts no thread; numpy
         releases the GIL in BLAS, the FFT and large array loops. A chunk
         that raises empties the queue, so the other threads stop after
         their current chunk, and the exception is raised here once every
-        thread has stopped. The chunk bounds and the reduction each chunk
-        takes do not depend on `workers`, so every output bit is the same
-        at any count.
+        thread has stopped. The chunk bounds, the FFT size and the
+        reduction each chunk takes do not depend on `workers`, so every
+        output bit is the same at any count.
         """
         cfg = self.config
         w = cfg.window
@@ -676,56 +739,68 @@ class Model:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         orders = {slot: att["order"] for slot, att in self.slot_attention(
-            np.unique(slot_ids).tolist(), adjacencies, params).items()}
+            present_slots(slot_ids), adjacencies, params).items()}
         filter_layers = self._filter_layers(params) if cfg.use_temporal else None
+        t_dim = cfg.temporal_dim if cfg.use_temporal else 0
+        conv_len = cfg.conv_out_len() if cfg.use_temporal else 0
         out = np.empty((starts.size, cfg.n_sensors))
 
-        def span_temporal(span, local, fft):
-            """h_t of the windows at offsets `local` of `span`: with `fft`, a
-            (size, kernel spectrum) pair, by cross-correlation, else by
-            gathering each window's conv features for one GEMM."""
+        def span_features(span):
+            """The conv features (N, C, S) of a (N, S + L - 1) span."""
             feats = conv_stack(span, filter_layers, cfg.dilation)["t_flat"]
-            feats = feats.reshape(cfg.n_sensors, cfg.conv_channels_total(), -1)
-            if fft is not None:
-                size, spectrum = fft
-                return correlate_span(feats, spectrum, size, local.size) + params["tred_b"]
+            return feats.reshape(cfg.n_sensors, cfg.conv_channels_total(), -1)
+
+        def span_temporal(span, local, fft, h_t):
+            """Writes h_t of the windows at offsets `local` of `span`: with
+            `fft`, by cross-correlation, else by gathering each window's
+            conv features for one GEMM."""
+            if fft:
+                # no name holds the features: correlate_span drops them
+                np.add(correlate_span(span_features(span), spectrum, size, local.size),
+                       params["tred_b"], out=h_t)
+                return
             # conv output p of the span is output p - o of the window at offset o
             per_window = np.lib.stride_tricks.sliding_window_view(
-                feats, cfg.conv_out_len(), axis=-1)
+                span_features(span), conv_len, axis=-1)
             t_flat = np.moveaxis(per_window, 2, 0)[local].reshape(local.size, cfg.n_sensors, -1)
-            del feats, per_window  # the span's features are dead once gathered
-            return project_input(t_flat, params["tred_w"], params["tred_b"])
+            del per_window  # the span's features are dead once gathered
+            np.add(_rowwise(t_flat, params["tred_w"]), params["tred_b"], out=h_t)
 
         def run_chunk(lo, hi, fft):
             span = np.ascontiguousarray(values[:, starts[lo] : starts[hi - 1] + w])
             local = starts[lo:hi] - starts[lo]
             chunk_slots = slot_ids[lo:hi]
-            present = np.unique(chunk_slots).tolist()
+            present = present_slots(chunk_slots)
             h_s = self._spatial(
                 np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1),
                             1, 0)[local],
                 [orders[slot] for slot in present],
                 [np.flatnonzero(chunk_slots == slot) for slot in present], params,
             )["h_s"]
-            h_t = span_temporal(span, local, fft) if cfg.use_temporal else None
-            out[lo:hi] = self._fuse(h_s, h_t, params)["pred"]
+            # one buffer [h_t || h_s] that LayerNorm and the MLP run in place
+            fused = np.empty(h_s.shape[:-1] + (t_dim + h_s.shape[-1],))
+            fused[..., t_dim:] = h_s
+            del h_s
+            if t_dim:
+                span_temporal(span, local, fft, fused[..., :t_dim])
+            out[lo:hi] = normalize_and_predict(fused, params, cfg.ln_eps, keep=False)["pred"]
 
         # A chunk of consecutive windows reduces its span's conv features by
         # FFT when that costs fewer multiply-adds: about 2 * size per sensor,
-        # channel and output against count * L for the gathered GEMM. The
-        # kernel spectra are taken here, once per size.
+        # channel and output against count * L for the gathered GEMM. Every
+        # chunk takes the size of the longest consecutive one, so the kernel
+        # spectrum is taken once, here.
+        chunks = list(predict_chunks(starts, cfg.n_sensors, w))
+        consecutive = [t_dim > 0 and bool((np.diff(starts[lo:hi]) == 1).all())
+                       for lo, hi in chunks]
+        longest = max((hi - lo for (lo, hi), c in zip(chunks, consecutive) if c), default=1)
+        size = fft_size(longest - 1 + conv_len)
         todo = queue.SimpleQueue()
-        spectra = {}
-        for lo, hi in predict_chunks(starts, cfg.n_sensors, w):
-            fft = None
-            if cfg.use_temporal and (np.diff(starts[lo:hi]) == 1).all():
-                conv_len = cfg.conv_out_len()
-                size = fft_size(hi - lo - 1 + conv_len)
-                if 2 * size < (hi - lo) * conv_len:
-                    if size not in spectra:
-                        spectra[size] = size, kernel_spectrum(
-                            params["tred_w"], cfg.conv_channels_total(), size)
-                    fft = spectra[size]
+        spectrum = None
+        for (lo, hi), c in zip(chunks, consecutive):
+            fft = c and 2 * size < (hi - lo) * conv_len
+            if fft and spectrum is None:
+                spectrum = kernel_spectrum(params["tred_w"], cfg.conv_channels_total(), size)
             todo.put((lo, hi, fft))
 
         def take():

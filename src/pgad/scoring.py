@@ -41,8 +41,26 @@ class ScoreCalibration:
         if errors.shape[0] < MIN_VAL_WINDOWS:
             raise DataError(f"need at least {MIN_VAL_WINDOWS} validation windows "
                             f"to calibrate, got {errors.shape[0]}")
-        q25, q50, q75 = np.quantile(errors, [0.25, 0.5, 0.75], axis=0)
+        q25, q50, q75 = quartiles(errors)
         return cls(median=q50, iqr=q75 - q25)
+
+
+def quartiles(values: np.ndarray) -> np.ndarray:
+    """np.quantile(values, [0.25, 0.5, 0.75], axis=0) with its default linear
+    method, bit for bit: its arithmetic (numpy's `_lerp`) on the sorted
+    columns. `np.quantile` would import numpy.ma on its first call, which
+    costs more than the whole calibration."""
+    ordered = np.sort(values, axis=0)
+    virtual = (ordered.shape[0] - 1) * np.array([0.25, 0.5, 0.75])
+    below = np.floor(virtual).astype(np.intp)
+    above = np.minimum(below + 1, ordered.shape[0] - 1)
+    t = (virtual - below).reshape((3,) + (1,) * (ordered.ndim - 1))
+    a, b = ordered[below], ordered[above]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, ordered[-1], where=np.isnan(ordered[-1]))  # a NaN column's quartiles are NaN
+    return out
 
 
 def sensor_errors(predictions: np.ndarray, actual: np.ndarray) -> np.ndarray:
@@ -64,10 +82,14 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     if window < 1:
         raise ValueError("moving-average window must be >= 1")
     values = np.asarray(values, dtype=np.float64)
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    t = np.arange(1, values.size + 1)
-    lo = np.maximum(t - window, 0)
-    return (csum[t] - csum[lo]) / (t - lo)
+    # each mean sums its own terms, so its rounding does not grow with the
+    # series' running total as a difference of prefix sums would
+    width = min(window, values.size)
+    if width == 0:
+        return values.copy()
+    padded = np.concatenate([np.zeros(width - 1), values])
+    sums = np.lib.stride_tricks.sliding_window_view(padded, width).sum(axis=-1)
+    return sums / np.minimum(np.arange(1, values.size + 1), window)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +191,13 @@ def best_f1_threshold(
         raise DataError("no scores to choose a threshold from")
     if not np.isfinite(scores).all():
         raise DataError(f"{int(np.sum(~np.isfinite(scores)))} scores are not finite")
-    thresholds = np.unique(scores)
+    # the distinct scores, ascending, as `np.unique` finds them without
+    # importing numpy.ma
+    thresholds = np.sort(scores)
+    distinct = np.empty(thresholds.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(thresholds[1:], thresholds[:-1], out=distinct[1:])
+    thresholds = thresholds[distinct]
 
     fp = _count_above(np.sort(scores[~truth]), thresholds)
     if point_adjust:

@@ -7,8 +7,8 @@ chronological tail of the window set. The best-validation parameters are
 kept and restored at the end, and their absolute validation errors are
 returned for later score calibration.
 
-Each batch runs as micro-batches of at most `model.windows_per_chunk(N)`
-windows, the size of a predict chunk, one after another, so a step's
+Each batch runs as micro-batches of at most `model.windows_per_batch(N)`
+windows, half a predict chunk's rows, one after another, so a step's
 forward trace stays about the same size at any N (`batch_step`). Their
 count depends only on the batch size and N.
 
@@ -20,6 +20,7 @@ the best epoch's parameters are one vector copy.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import logging
 import math
 import time
@@ -31,7 +32,7 @@ from .checkpoint import param_checksum
 from .data import NORMALIZATION_MODES, SeriesMatrix, fit_normalizer, make_windows
 from .errors import DataError, DivergenceError
 from .graph import cosine_similarity, topk_adjacency
-from .model import Model, ModelConfig, windows_per_chunk
+from .model import Model, ModelConfig, present_slots, windows_per_batch
 from .period import PeriodProfile, detect_period
 
 log = logging.getLogger(__name__)
@@ -122,7 +123,7 @@ def batch_step(model: Model, windows, slot_ids, targets, adjacencies, state: Tra
     """Mean squared error of one batch (B, N, w); its grads overwrite `state.grads`.
 
     The batch is cut evenly (`np.array_split`) into ceil(B / k) micro-batches
-    of at most k = `windows_per_chunk(N)` windows, run one after another.
+    of at most k = `windows_per_batch(N)` windows, run one after another.
     Each slot's attention coefficients are taken once for the batch
     (`Model.slot_attention`). After the gradient vector is zeroed, each
     micro-batch's `forward` and `backward`, with d(loss)/d(pred) =
@@ -135,10 +136,10 @@ def batch_step(model: Model, windows, slot_ids, targets, adjacencies, state: Tra
     batch.
     """
     n_batch, n_sensors = targets.shape
-    count = -(-n_batch // windows_per_chunk(n_sensors))
+    count = -(-n_batch // windows_per_batch(n_sensors))
     scale = 2.0 / targets.size
     params = state.params
-    attention = model.slot_attention(np.unique(slot_ids).tolist(), adjacencies, params)
+    attention = model.slot_attention(present_slots(slot_ids), adjacencies, params)
     d_alphas = {slot: np.zeros_like(att["alpha"]) for slot, att in attention.items()}
     state.grad_vec.fill(0.0)
     diffs = []
@@ -375,13 +376,29 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
 def pool_map(fn, jobs: list, workers: int) -> list:
     """`fn` over `jobs` in order; in a pool of min(`workers`, len(`jobs`))
     processes when that is > 1. The pool starts all its processes at once,
-    so it never has more than there are jobs."""
+    so it never has more than there are jobs.
+
+    The processes are spawned, and each starts by importing `pgad.cli`,
+    which pins its BLAS to one thread as in every CLI process, unless the
+    environment sets a thread count or numpy is already loaded. A forked
+    process would keep this process's BLAS threads: from a process with
+    two, two workers on two CPUs ran criterion 7's cells 2.2 times slower
+    than one process. A spawned process first imports the calling
+    script's main module, so a script that calls this with `workers` > 1
+    needs an `if __name__ == "__main__":` guard, and its workers keep
+    numpy's default BLAS threads if that module imports numpy before
+    `pgad.cli`.
+    """
     workers = min(workers, len(jobs))
     if workers > 1:
-        # imported here: it loads multiprocessing, which a serial run never needs
+        # imported here: they load multiprocessing, which a serial run never needs
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=importlib.import_module,
+                                 initargs=("pgad.cli",)) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
 

@@ -239,6 +239,22 @@ def gathered_temporal_reduction(feats, local, tred_w, tred_b) -> np.ndarray:
     return t_flat @ tred_w.T + tred_b
 
 
+def layer_norm_mlp_reference(fused, params, ln_eps: float = 1e-5) -> dict:
+    """LayerNorm and the 2-layer MLP over fused (..., F) with `np.mean`,
+    `np.var` and new arrays for every step: the in-place head's oracle."""
+    mu = fused.mean(-1, keepdims=True)
+    var = fused.var(-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + ln_eps)
+    xhat = (fused - mu) * inv_std
+    y_ln = params["ln_gain"] * xhat + params["ln_bias"]
+    z1 = (y_ln.reshape(-1, y_ln.shape[-1]) @ params["mlp_w1"].T).reshape(
+        y_ln.shape[:-1] + (-1,)) + params["mlp_b1"]
+    r1 = np.maximum(z1, 0.0)
+    pred = np.einsum("...h,h->...", r1, params["mlp_w2"]) + params["mlp_b2"]
+    return {"xhat": xhat, "inv_std": inv_std, "y_ln": y_ln, "z1_mask": z1 > 0, "r1": r1,
+            "pred": pred}
+
+
 def score_files_loop(trace, names) -> tuple[str, str]:
     """The scores CSV and the --plot file `pgad score` writes for `trace`,
     one row at a time, as text: the row writer's reference."""

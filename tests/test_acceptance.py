@@ -255,7 +255,7 @@ def test_criterion_7_ablation(benchmark_splits, capsys):
             test_series,
             base,
             seeds=(0, 1, 2),
-            workers=1,
+            workers=2,
             threshold_mode="best_f1",
         )
         full = table["full"]["mean_f1"]
@@ -283,7 +283,7 @@ def test_criterion_8_neighbor_sweep(benchmark_splits, capsys):
             "neighbors",
             values,
             seeds=(0, 1, 2),
-            workers=1,
+            workers=2,
             threshold_mode="best_f1",
         )
         means = [row["mean_f1"] for row in rows]

@@ -740,6 +740,27 @@ class TestImportSideEffects:
         out = run_python("import sys, pgad.cli; print('multiprocessing' in sys.modules)")
         assert out == "False"
 
+    def test_train_and_score_load_no_numpy_ma(self, tmp_path):
+        """numpy's `unique` and `quantile` import numpy.ma on their first
+        call, which takes longer than `score`'s whole calibration; `train`
+        and `score`, with each threshold policy, call neither."""
+        code = textwrap.dedent(f"""\
+            import sys
+            from pgad import cli
+            root = {str(tmp_path)!r}
+            assert cli.main(["synth", *{TINY_SYNTH!r}, "--out-dir", root]) == 0
+            assert cli.main(["train", root + "/train.csv", *{TINY_TRAIN!r},
+                             "--checkpoint", root + "/model.npz",
+                             "--report", root + "/report.json",
+                             "--loss-curve", root + "/curve.csv"]) == 0
+            for flags in ([], ["--threshold", "best-f1", "--point-adjust"]):
+                assert cli.main(["score", root + "/model.npz", root + "/test.csv",
+                                 "--scores", root + "/scores.csv",
+                                 "--metrics", root + "/metrics.json", *flags]) == 0
+            print("numpy.ma" in sys.modules)
+        """)
+        assert run_python(code).splitlines()[-1] == "False"
+
 
 def has_glibc() -> bool:
     return "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})

@@ -27,11 +27,13 @@ from pgad.model import (
     fuse_and_predict_backward,
     kernel_spectrum,
     mix_order,
+    normalize_and_predict,
     predict_chunks,
     project_input,
     project_input_backward,
     spatial_aggregate,
     spatial_aggregate_backward,
+    windows_per_batch,
     windows_per_chunk,
 )
 from pgad.training import TrainState, batch_step, build_adjacencies
@@ -43,6 +45,7 @@ from helpers import (
     einsum_conv_stack,
     gathered_temporal_reduction,
     grad_rel_err,
+    layer_norm_mlp_reference,
     l2_loss,
     permutation_mismatches,
     random_instance,
@@ -426,6 +429,27 @@ class TestFuseAndPredict:
             fuse_and_predict(h_s, h_t, params)["pred"], expected, atol=1e-9
         )
 
+    @pytest.mark.parametrize("hidden", [128, 40])
+    @pytest.mark.parametrize("n", [2, 8, 51])
+    def test_in_place_head_equals_the_kept_one(self, n, hidden):
+        """`normalize_and_predict` on the same fused input: `forward`'s
+        call, which keeps the activations, and `predict`'s, which runs in
+        place, give the same bits as the `np.mean` / `np.var` oracle, with
+        the hidden layer wider and narrower than the fused features."""
+        rng = np.random.default_rng(700 + n + hidden)
+        params = self.base_params(rng, 96, hidden=hidden)
+        params["ln_gain"] = rng.normal(size=96)
+        params["ln_bias"] = rng.normal(size=96)
+        params["mlp_b2"] = np.array(0.3)
+        fused = 3.0 + 5.0 * rng.normal(size=(20, n, 96))
+        expected = layer_norm_mlp_reference(fused, params)
+        kept = normalize_and_predict(fused.copy(), params)
+        in_place = normalize_and_predict(fused.copy(), params, keep=False)
+        assert set(kept) == set(expected) and set(in_place) == {"pred"}
+        for name in expected:
+            np.testing.assert_array_equal(kept[name], expected[name], err_msg=name)
+        np.testing.assert_array_equal(in_place["pred"], expected["pred"])
+
     @pytest.mark.parametrize("t_dim", [3, 0])
     def test_backward_matches_central_differences(self, t_dim):
         rng = np.random.default_rng(24 + t_dim)
@@ -596,9 +620,14 @@ class TestPredictOverSeries:
         return out
 
     @staticmethod
-    def chunked_instance(n, stride):
+    def chunk_width(n, stride):
+        """The most windows in a chunk: a micro-batch's unless consecutive."""
+        return windows_per_chunk(n) if stride == 1 else windows_per_batch(n)
+
+    @classmethod
+    def chunked_instance(cls, n, stride):
         """Two chunks' worth of windows and 7 more; the first chunk lacks slot 1."""
-        per_chunk = max(1, model_module.PREDICT_ROWS // n)
+        per_chunk = cls.chunk_width(n, stride)
         instance = predict_instance(400 + n + stride, n, 2 * per_chunk + 7, stride)
         slot_ids = instance[-1]
         first = slot_ids[:per_chunk]
@@ -609,7 +638,7 @@ class TestPredictOverSeries:
     @pytest.mark.parametrize("n", [2, 8, 51])
     @pytest.mark.parametrize("stride", [1, 3, 35])
     def test_bits_equal_forward_on_its_chunks(self, n, stride):
-        per_chunk = max(1, model_module.PREDICT_ROWS // n)
+        per_chunk = self.chunk_width(n, stride)
         model, params, adjacencies, starts, values, slot_ids = self.chunked_instance(n, stride)
         w = model.config.window
         chunks = list(predict_chunks(starts, n, w))
@@ -630,6 +659,24 @@ class TestPredictOverSeries:
         else:
             np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize("n", [8, 51])
+    def test_only_consecutive_chunks_are_wide(self, n):
+        """A run of consecutive windows, then windows 3 apart: a chunk holds
+        up to `windows_per_chunk` windows only when they are consecutive,
+        else at most a micro-batch's, as their gathered features would
+        double with the chunk."""
+        wide, narrow = windows_per_chunk(n), windows_per_batch(n)
+        starts = np.concatenate([np.arange(wide + narrow // 2),
+                                 wide + narrow // 2 + 3 * np.arange(3 * narrow)])
+        chunks = list(predict_chunks(starts, n, 32))
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == len(starts)
+        widths = [hi - lo for lo, hi in chunks]
+        consecutive = [bool((np.diff(starts[lo:hi]) == 1).all()) for lo, hi in chunks]
+        assert widths[0] == wide and consecutive[0]
+        assert max(widths[1:]) <= narrow
+        assert not all(consecutive)
+
     @pytest.mark.parametrize("n", [2, 8, 51])
     @pytest.mark.parametrize("stride", [1, 3, 35])
     def test_bits_equal_at_any_worker_count(self, n, stride):
@@ -643,7 +690,8 @@ class TestPredictOverSeries:
             )
 
     def test_chunk_error_propagates_and_threads_end(self, monkeypatch):
-        model, params, adjacencies, starts, values, slot_ids = predict_instance(8, 8, 200, 1)
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(
+            8, 8, 3 * windows_per_chunk(8) + 8, 1)
         lock = threading.Lock()
         calls = []
 
@@ -664,6 +712,7 @@ class TestPredictOverSeries:
 
     @pytest.mark.parametrize("workers, n_windows", [
         (1, 150), (2, 150), (3, 150), (4, 150), (2, 70), (3, 70), (4, 70), (4, 1),
+        (3, 3 * windows_per_chunk(8) + 1), (4, 3 * windows_per_chunk(8) + 1),
     ])
     def test_queue_runs_every_chunk_once(self, workers, n_windows):
         """The chunks run once each, on the calling thread and at most
@@ -698,7 +747,8 @@ class TestPredictOverSeries:
     def test_failed_chunk_stops_the_other_threads(self):
         """The calling thread's first chunk raises while a pool thread runs
         its first of 10; the pool thread then takes no further chunk."""
-        model, params, adjacencies, starts, values, slot_ids = predict_instance(8, 8, 640, 1)
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(
+            8, 8, 10 * windows_per_chunk(8), 1)
         assert len(list(predict_chunks(starts, 8, model.config.window))) == 10
         caller = threading.get_ident()
         pool_started, raised = threading.Event(), threading.Event()
@@ -722,25 +772,41 @@ class TestPredictOverSeries:
         assert len(runs) == 2 and caller in runs
 
     @pytest.mark.parametrize("n_windows, stride, reduced", [
-        (2 * 64 + 5, 1, 3),  # 64, 64 and 5 consecutive windows
-        (2 * 64 + 2, 1, 2),  # the last chunk's 2 windows cost less gathered
-        (150, 3, 0),
+        # chunks of 128, 128 and 12 windows: 2 * 160 < 12 * 28, so the tail
+        # takes the FFT at the first chunks' size too
+        pytest.param(2 * windows_per_chunk(8) + 12, 1, 3, id="tail-by-fft"),
+        # the 11-window tail costs less gathered at that size, though it
+        # would take the FFT at its own (2 * 40 < 11 * 28)
+        pytest.param(2 * windows_per_chunk(8) + 11, 1, 2, id="tail-gathered"),
+        pytest.param(5, 1, 1, id="one-short-chunk"),
+        (150, 3, 0),  # windows 3 apart gather
     ])
     def test_fft_reduction_runs_on_consecutive_chunks(self, monkeypatch, n_windows, stride,
                                                       reduced):
+        """Every chunk of a call takes the FFT size of its longest run of
+        consecutive windows, whose kernel spectrum is taken once; a chunk
+        runs the FFT when that costs fewer multiply-adds at that size."""
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
             10, 8, n_windows, stride)
-        calls = []
+        assert model.config.conv_out_len() == 28
+        calls, sizes = [], []
 
         def counting(feats, spectrum, size, count):
             calls.append(count)
             return correlate_span(feats, spectrum, size, count)
 
+        def recording(tred_w, channels, size):
+            sizes.append(size)
+            return kernel_spectrum(tred_w, channels, size)
+
         monkeypatch.setattr(model_module, "correlate_span", counting)
+        monkeypatch.setattr(model_module, "kernel_spectrum", recording)
         model.predict(starts, values, slot_ids, adjacencies, params)
         assert len(calls) == reduced
-        chunks = predict_chunks(starts, 8, model.config.window)
+        chunks = list(predict_chunks(starts, 8, model.config.window))
         assert calls == [hi - lo for lo, hi in chunks][:reduced]
+        longest = min(n_windows, windows_per_chunk(8))
+        assert sizes == ([fft_size(longest - 1 + 28)] if reduced else [])
 
     def test_no_temporal_branch_equals_forward(self):
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
@@ -786,10 +852,10 @@ class TestPeakMemory:
     @pytest.mark.parametrize("n", [8, 51])
     def test_predict_holds_one_chunks_conv_features(self, n):
         """At one worker, consecutive windows never gather their conv
-        features: the peak, with the kernel spectra and one chunk's spatial,
-        FFT and MLP arrays, stays below 0.75 times one chunk's gathered
-        features plus the output (measured 0.67 at N=8 and 0.59 at N=51;
-        1.11-1.19 with the gathered features)."""
+        features: the peak, with the kernel spectrum and one chunk's spatial,
+        FFT and MLP arrays, stays below 0.75 times the gathered features of
+        one training micro-batch, half a predict chunk's rows, plus the
+        output."""
         config = ModelConfig(n_sensors=n)
         model = Model(config)
         rng = np.random.default_rng(n)
@@ -801,7 +867,7 @@ class TestPeakMemory:
         slot_ids = starts % config.slots
         model.predict(starts[:per_chunk], values, slot_ids[:per_chunk], adjacencies, params)
         out, peak = traced_peak(model.predict, starts, values, slot_ids, adjacencies, params)
-        features = per_chunk * n * config.temporal_flat_dim() * 8
+        features = windows_per_batch(n) * n * config.temporal_flat_dim() * 8
         assert peak <= 0.75 * features + out.nbytes
 
     def test_backward_releases_the_conv_features(self):

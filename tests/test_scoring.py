@@ -1,5 +1,7 @@
 """Score calibration, smoothing, thresholds, and detection metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pgad.scoring import (
     moving_average,
     normalize_scores,
     point_adjust_predictions,
+    quartiles,
     score_series,
     sensor_errors,
     validation_threshold,
@@ -36,6 +39,19 @@ class TestSensorErrors:
 
 
 class TestCalibration:
+    @pytest.mark.parametrize("n", [4, 5, 7, 40, 301])
+    def test_quartiles_equal_numpy_quantile(self, n):
+        """With ties and a NaN, at n=4 and at lengths whose quartile
+        indices fall between samples on either side of the half."""
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(n, 6))
+        values[:, 1] = np.round(values[:, 1])
+        values[: n // 2, 2] = values[0, 2]
+        values[:, 3] = 1.5
+        values[n // 3, 4] = np.nan
+        np.testing.assert_array_equal(
+            quartiles(values), np.quantile(values, [0.25, 0.5, 0.75], axis=0))
+
     def test_hand_quantiles(self):
         calib = ScoreCalibration.from_errors(np.arange(1.0, 6.0)[:, None])
         assert calib.median[0] == pytest.approx(3.0, abs=1e-12)
@@ -130,6 +146,20 @@ class TestAggregationAndSmoothing:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             moving_average(np.ones(5), 0)
+
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_each_mean_is_within_ulps_of_its_exact_value(self, window):
+        """A long positive series has a large running total; a difference
+        of prefix sums carries that total's rounding into every mean."""
+        x = np.random.default_rng(window).uniform(1.0, 2.0, 20000)
+        out = moving_average(x, window)
+        for t in range(x.size):
+            terms = x[max(0, t - window + 1) : t + 1]
+            exact = math.fsum(terms) / terms.size
+            assert abs(out[t] - exact) <= 4 * np.spacing(exact), t
+
+    def test_empty_series(self):
+        assert moving_average(np.array([]), 3).shape == (0,)
 
 
 class TestEvaluate:

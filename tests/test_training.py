@@ -11,7 +11,7 @@ from pgad.data import generate_synthetic
 from pgad.errors import DataError, DivergenceError
 from pgad import model as model_module
 from pgad.model import (
-    PREDICT_ROWS,
+    BATCH_ROWS,
     Model,
     ModelConfig,
     attention_backward,
@@ -351,7 +351,7 @@ class TestBatchStep:
         (51, 10, [10]),
         (51, 11, [6, 5]),
         (51, 32, [8, 8, 8, 8]),
-        (PREDICT_ROWS + 1, 3, [1, 1, 1]),
+        (BATCH_ROWS + 1, 3, [1, 1, 1]),
     ])
     def test_micro_batches_are_cut_from_batch_and_sensor_count(self, n, batch, sizes):
         model, params, windows, slot_ids, adjacencies, targets = step_instance(n, batch)
@@ -372,7 +372,7 @@ class TestBatchStep:
         for name in want:
             np.testing.assert_array_equal(grads[name], want[name])
 
-    @pytest.mark.parametrize("n, batch, count", [(51, 32, 4), (PREDICT_ROWS + 1, 3, 3)])
+    @pytest.mark.parametrize("n, batch, count", [(51, 32, 4), (BATCH_ROWS + 1, 3, 3)])
     def test_grads_are_the_in_order_sum_of_micro_batches(self, n, batch, count):
         """The block grads are the in-order sums of each micro-batch's
         `Model.backward`; each slot's attention backward runs once, on the
