@@ -11,10 +11,14 @@ the training tail for a score-only workload) and `score`. The outputs are
 then compared: every checkpoint array, the checkpoint meta without the
 wall-clock fields (`wall_clock_seconds` and each epoch's `seconds`), the
 loss curve, the scores CSV and the metrics JSON. Prints one verdict per
-workload and seed: "identical", or the first output that differs and,
-when the scores CSV differs, how far: max |Δscore|, max |Δsmoothed|, the
-number of `label_pred` values that differ, and F1 and the flagged count
-on each side. Runs every workload and seed, then exits 1 if any differed.
+workload and seed: "identical", or "DIFFERENT" and then one line per
+difference. A checkpoint lists every meta field that differs and every
+array that differs (each parameter by name, and `val_errors`) with its
+max |Δ| and each side's best epoch. A text output names its first
+differing line; for the scores CSV the line also says how far the scores
+moved: max |Δscore|, max |Δsmoothed|, the number of `label_pred` values
+that differ, and F1 and the flagged count on each side. Runs every
+workload and seed, then exits 1 if any differed.
 """
 
 from __future__ import annotations
@@ -65,21 +69,26 @@ def untimed_meta(archive) -> dict:
     return meta
 
 
-def checkpoint_difference(parent: Path, change: Path) -> str | None:
+def checkpoint_differences(parent: Path, change: Path) -> list[str]:
     with np.load(parent) as a, np.load(change) as b:
         if sorted(a.files) != sorted(b.files):
-            return f"array names {sorted(set(a.files) ^ set(b.files))}"
+            return [f"array names {sorted(set(a.files) ^ set(b.files))}"]
+        meta = untimed_meta(a), untimed_meta(b)
+        found = [f"meta[{field!r}]" for field in sorted(set(meta[0]) | set(meta[1]))
+                 if json.dumps(meta[0].get(field), sort_keys=True)
+                 != json.dumps(meta[1].get(field), sort_keys=True)]
+        best = " vs ".join(str(m.get("train", {}).get("best_epoch")) for m in meta)
         for key in sorted(a.files):
-            if key == "meta":
-                meta_a, meta_b = untimed_meta(a), untimed_meta(b)
-                for field in sorted(set(meta_a) | set(meta_b)):
-                    if json.dumps(meta_a.get(field), sort_keys=True) != \
-                            json.dumps(meta_b.get(field), sort_keys=True):
-                        return f"meta[{field!r}]"
-            elif a[key].dtype != b[key].dtype or a[key].shape != b[key].shape \
-                    or a[key].tobytes() != b[key].tobytes():
-                return f"array {key}"
-    return None
+            x, y = a[key], b[key]
+            if key == "meta" or (x.dtype == y.dtype and x.shape == y.shape
+                                 and x.tobytes() == y.tobytes()):
+                continue
+            if x.shape != y.shape:
+                found.append(f"array {key}: shape {x.shape} vs {y.shape}")
+                continue
+            delta = np.abs(x.astype(np.float64) - y.astype(np.float64)).max(initial=0.0)
+            found.append(f"array {key}: max |Δ| {delta:.3g}, best epoch {best}")
+    return found
 
 
 def text_difference(parent: Path, change: Path) -> str | None:
@@ -114,13 +123,19 @@ def score_drift(parent: dict[str, Path], change: dict[str, Path]) -> str:
             f"flagged {flagged[0]} -> {flagged[1]}")
 
 
-def first_difference(parent: dict[str, Path], change: dict[str, Path]) -> str | None:
+def differences(parent: dict[str, Path], change: dict[str, Path]) -> list[str]:
+    """One line per difference between the two sides' outputs."""
+    found = []
     for name, path in parent.items():
-        compare = checkpoint_difference if name == "checkpoint" else text_difference
-        where = compare(path, change[name])
+        if name == "checkpoint":
+            found += [f"{name}: {where}" for where in checkpoint_differences(path, change[name])]
+            continue
+        where = text_difference(path, change[name])
         if where is not None:
-            return f"{name}: {where}"
-    return None
+            if name == "scores.csv":
+                where += "; " + score_drift(parent, change)
+            found.append(f"{name}: {where}")
+    return found
 
 
 def parse_args(argv):
@@ -151,18 +166,13 @@ def main(argv=None) -> int:
                            for side, root in (("parent", work / "parent-tree"),
                                               ("change", ROOT))}
                 runs += 1
-                where = first_difference(outputs["parent"], outputs["change"])
-                if where is None:
+                found = differences(outputs["parent"], outputs["change"])
+                if not found:
                     print(f"{name} seed {seed}: identical ({', '.join(outputs['parent'])})",
                           flush=True)
                     continue
                 differing += 1
-                verdict = f"{name} seed {seed}: DIFFERENT at {where}"
-                if text_difference(outputs["parent"]["scores.csv"],
-                                   outputs["change"]["scores.csv"]) is not None:
-                    verdict += "; scores.csv: " + score_drift(outputs["parent"],
-                                                              outputs["change"])
-                print(verdict, flush=True)
+                print(f"{name} seed {seed}: DIFFERENT", *found, sep="\n  ", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
         try:

@@ -7,8 +7,21 @@ Anomaly scores are robustly normalized forecast errors.
 """
 
 import importlib
+import os
 
 __version__ = "0.1.0"
+
+# A user who sets any of these keeps control of all three: OpenBLAS reads
+# its own variable before OMP_NUM_THREADS.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_pin() -> dict[str, str]:
+    """The variables that pin BLAS to one thread, all three set to "1",
+    when this process's environment sets none of them; else none."""
+    if any(var in os.environ for var in _BLAS_THREAD_VARS):
+        return {}
+    return dict.fromkeys(_BLAS_THREAD_VARS, "1")
 
 # exported name -> the submodule that defines it. The names resolve on
 # first access, so `import pgad` alone loads no numpy: `pgad.cli` can pin

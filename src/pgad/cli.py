@@ -26,11 +26,10 @@ import os
 import sys
 from pathlib import Path
 
-# before numpy loads its BLAS. A user who sets any of these keeps control
-# of all three: OpenBLAS reads its own variable before OMP_NUM_THREADS.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if not any(var in os.environ for var in _BLAS_THREAD_VARS):
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+from . import _blas_pin
+
+# before numpy loads its BLAS
+os.environ.update(_blas_pin())
 
 import numpy as np
 

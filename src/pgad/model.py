@@ -26,23 +26,22 @@ rows, which makes predictions bit-identical under any simultaneous
 permutation of the sensors.
 
 `Model.predict` scores the windows of a series in chunks of about
-PREDICT_ROWS rows, twice a training micro-batch's BATCH_ROWS: it keeps no
-activation for a backward. It takes each slot's attention coefficients
-and mix order once per call and runs the conv stack once over each
-chunk's span of the series, which overlapping windows share. Over a span
-of consecutive windows the temporal reduction is one long
-cross-correlation of the conv features with `tred_w`, which it takes by
-FFT (`correlate_span`) at one size per call; a chunk of windows further
-apart gathers each window's features for the GEMM `forward` runs, and
-keeps them only until the reduction. Both write h_t into the chunk's one
-fused buffer beside h_s, and LayerNorm and the MLP run in place on it
-(`normalize_and_predict`, the arithmetic `forward` runs). The calling
-thread and up to `workers` - 1 pool threads take the chunks from one
-queue; the bounds do not depend on the thread count, so neither does any
-output bit. The FFT reduction agrees with `forward`'s to rounding; the
-gathered one, with one conv layer, equals it bit for bit on the same
-chunk. With more conv layers, the deeper layers' matmul over a span may
-round the last bit differently from the same matmul per window.
+PREDICT_ROWS rows, twice a training micro-batch's BATCH_ROWS: it keeps
+no activation for a backward. It takes each slot's attention
+coefficients and mix order once per call. A chunk of consecutive windows
+runs the conv stack once over its span of the series, which the windows
+share, and takes the temporal reduction as one long cross-correlation of
+the conv features with `tred_w`, by FFT (`correlate_span`) at one size
+per call. It writes h_t into the chunk's one fused buffer beside h_s,
+and LayerNorm and the MLP run in place on it (`normalize_and_predict`,
+the arithmetic `forward` runs). Every other chunk, of windows further
+apart or without the temporal branch, runs `forward` itself on its
+windows and keeps only the predictions, so it equals `forward` on the
+same windows bit for bit at any conv depth; windows that are not
+consecutive take at most a micro-batch's width. The FFT reduction agrees
+with `forward`'s to rounding. The calling thread and up to `workers` - 1
+pool threads take the chunks from one queue; the bounds do not depend on
+the thread count, so neither does any output bit.
 """
 
 from __future__ import annotations
@@ -526,24 +525,20 @@ def correlate_span(feats, spectrum, size: int, count: int) -> np.ndarray:
     return np.fft.irfft(products, size, axis=0)[:count]
 
 
-def predict_chunks(starts: np.ndarray, n_sensors: int, window: int):
+def predict_chunks(starts: np.ndarray, n_sensors: int):
     """(lo, hi) bounds of `Model.predict`'s chunks over ascending `starts`.
 
     A chunk holds at most `windows_per_chunk(n_sensors)` consecutive
-    windows. Windows that are not all consecutive gather their conv
-    features, so their chunk holds at most a micro-batch's
-    `windows_per_batch(n_sensors)`, and its span of the series at most that
-    many windows' length, so windows further apart than their length do
-    not stretch the span conv.
+    windows. Windows that are not all consecutive run `Model.forward`, so
+    their chunk holds at most a micro-batch's `windows_per_batch(n_sensors)`
+    and its trace is no larger than one training micro-batch's.
     """
     lo = 0
     while lo < len(starts):
-        for per_chunk in (windows_per_chunk(n_sensors), windows_per_batch(n_sensors)):
-            reach = np.searchsorted(starts, starts[lo] + (per_chunk - 1) * window,
-                                    side="right")
-            hi = min(lo + per_chunk, int(reach))
-            if (np.diff(starts[lo:hi]) == 1).all():
-                break
+        hi = lo + windows_per_chunk(n_sensors)
+        if not (np.diff(starts[lo:hi]) == 1).all():
+            hi = lo + windows_per_batch(n_sensors)
+        hi = min(hi, len(starts))
         yield lo, hi
         lo = hi
 
@@ -664,7 +659,8 @@ class Model:
         coefficients and the neighbour mix, which run once per phase slot
         present and write their rows into one (B, N, F) buffer.
         `attention` holds `slot_attention`'s values for at least the slots
-        present; without it they are computed here.
+        present; without it they are computed here. The forward reads only
+        each value's `order`, and `backward` its `alpha` too.
         Returns (predictions (B, N), ForwardTrace).
         """
         cfg = self.config
@@ -699,29 +695,28 @@ class Model:
 
         Each slot's attention coefficients and mix order are taken once
         per call, on the calling thread. The windows run in
-        `predict_chunks`: each chunk copies its span of the series and runs
+        `predict_chunks`, of two kinds. A chunk of consecutive windows,
+        with the temporal branch on, copies its span of the series and runs
         the spatial blocks over its windows as `forward` does. It then
         copies h_s into one (windows, N, T + S) buffer, drops the spatial
-        arrays and runs the conv stack once over the span. When the
-        chunk's starts are consecutive and the FFT costs fewer
-        multiply-adds, h_t is the cross-correlation of the span's conv
-        features with `tred_w` (`correlate_span`), which drops the features
-        once transformed. Every chunk takes the FFT size of the call's
-        longest consecutive chunk, whose kernel spectrum is taken once
-        before any chunk runs. Otherwise every window's conv features are
-        gathered from the span's, reduced by one GEMM and dropped. Either
-        way h_t, with its bias, is written straight into the buffer's first
-        T columns, and LayerNorm and the MLP run in place on the buffer
-        (`normalize_and_predict` without `keep`). The chunk writes its own
+        arrays and runs the conv stack once over the span; h_t is the
+        cross-correlation of the span's conv features with `tred_w`
+        (`correlate_span`), which drops the features once transformed, and
+        is written with its bias straight into the buffer's first T
+        columns. LayerNorm and the MLP run in place on the buffer
+        (`normalize_and_predict` without `keep`). Every such chunk takes the
+        FFT size of the call's longest one, whose kernel spectrum is taken
+        once before any chunk runs. Every other chunk runs `forward` on its
+        windows and keeps only the predictions. Each chunk writes its own
         rows of the output. The chunks wait in one queue, which the calling
         thread drains together with min(`workers`, chunks) - 1 pool threads
         that live for the call, so `workers` = 1 starts no thread; numpy
         releases the GIL in BLAS, the FFT and large array loops. A chunk
         that raises empties the queue, so the other threads stop after
         their current chunk, and the exception is raised here once every
-        thread has stopped. The chunk bounds, the FFT size and the
-        reduction each chunk takes do not depend on `workers`, so every
-        output bit is the same at any count.
+        thread has stopped. The chunk bounds, the FFT size and the path
+        each chunk takes do not depend on `workers`, so every output bit is
+        the same at any count.
         """
         cfg = self.config
         w = cfg.window
@@ -738,70 +733,49 @@ class Model:
             raise ValueError("windows must lie within the series")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        orders = {slot: att["order"] for slot, att in self.slot_attention(
+        # only the mix orders: `forward` and the spatial blocks read no more
+        attention = {slot: {"order": att["order"]} for slot, att in self.slot_attention(
             present_slots(slot_ids), adjacencies, params).items()}
-        filter_layers = self._filter_layers(params) if cfg.use_temporal else None
-        t_dim = cfg.temporal_dim if cfg.use_temporal else 0
-        conv_len = cfg.conv_out_len() if cfg.use_temporal else 0
         out = np.empty((starts.size, cfg.n_sensors))
-
-        def span_features(span):
-            """The conv features (N, C, S) of a (N, S + L - 1) span."""
-            feats = conv_stack(span, filter_layers, cfg.dilation)["t_flat"]
-            return feats.reshape(cfg.n_sensors, cfg.conv_channels_total(), -1)
-
-        def span_temporal(span, local, fft, h_t):
-            """Writes h_t of the windows at offsets `local` of `span`: with
-            `fft`, by cross-correlation, else by gathering each window's
-            conv features for one GEMM."""
-            if fft:
-                # no name holds the features: correlate_span drops them
-                np.add(correlate_span(span_features(span), spectrum, size, local.size),
-                       params["tred_b"], out=h_t)
-                return
-            # conv output p of the span is output p - o of the window at offset o
-            per_window = np.lib.stride_tricks.sliding_window_view(
-                span_features(span), conv_len, axis=-1)
-            t_flat = np.moveaxis(per_window, 2, 0)[local].reshape(local.size, cfg.n_sensors, -1)
-            del per_window  # the span's features are dead once gathered
-            np.add(_rowwise(t_flat, params["tred_w"]), params["tred_b"], out=h_t)
+        chunks = [(lo, hi, cfg.use_temporal and bool((np.diff(starts[lo:hi]) == 1).all()))
+                  for lo, hi in predict_chunks(starts, cfg.n_sensors)]
+        longest = max((hi - lo for lo, hi, fft in chunks if fft), default=0)
+        if longest:
+            # one FFT size, and so one kernel spectrum, for every chunk
+            t_dim = cfg.temporal_dim
+            filter_layers = self._filter_layers(params)
+            size = fft_size(longest - 1 + cfg.conv_out_len())
+            spectrum = kernel_spectrum(params["tred_w"], cfg.conv_channels_total(), size)
 
         def run_chunk(lo, hi, fft):
+            if not fft:
+                windows = np.moveaxis(
+                    np.lib.stride_tricks.sliding_window_view(values, w, axis=-1), 1, 0)
+                out[lo:hi] = self.forward(windows[starts[lo:hi]], slot_ids[lo:hi], adjacencies,
+                                          params, attention)[0]
+                return
             span = np.ascontiguousarray(values[:, starts[lo] : starts[hi - 1] + w])
-            local = starts[lo:hi] - starts[lo]
             chunk_slots = slot_ids[lo:hi]
             present = present_slots(chunk_slots)
             h_s = self._spatial(
-                np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1),
-                            1, 0)[local],
-                [orders[slot] for slot in present],
+                np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1), 1, 0),
+                [attention[slot]["order"] for slot in present],
                 [np.flatnonzero(chunk_slots == slot) for slot in present], params,
             )["h_s"]
             # one buffer [h_t || h_s] that LayerNorm and the MLP run in place
             fused = np.empty(h_s.shape[:-1] + (t_dim + h_s.shape[-1],))
             fused[..., t_dim:] = h_s
             del h_s
-            if t_dim:
-                span_temporal(span, local, fft, fused[..., :t_dim])
+            # no name holds the span's conv features: correlate_span drops them
+            np.add(correlate_span(
+                conv_stack(span, filter_layers, cfg.dilation)["t_flat"].reshape(
+                    cfg.n_sensors, cfg.conv_channels_total(), -1),
+                spectrum, size, hi - lo), params["tred_b"], out=fused[..., :t_dim])
             out[lo:hi] = normalize_and_predict(fused, params, cfg.ln_eps, keep=False)["pred"]
 
-        # A chunk of consecutive windows reduces its span's conv features by
-        # FFT when that costs fewer multiply-adds: about 2 * size per sensor,
-        # channel and output against count * L for the gathered GEMM. Every
-        # chunk takes the size of the longest consecutive one, so the kernel
-        # spectrum is taken once, here.
-        chunks = list(predict_chunks(starts, cfg.n_sensors, w))
-        consecutive = [t_dim > 0 and bool((np.diff(starts[lo:hi]) == 1).all())
-                       for lo, hi in chunks]
-        longest = max((hi - lo for (lo, hi), c in zip(chunks, consecutive) if c), default=1)
-        size = fft_size(longest - 1 + conv_len)
         todo = queue.SimpleQueue()
-        spectrum = None
-        for (lo, hi), c in zip(chunks, consecutive):
-            fft = c and 2 * size < (hi - lo) * conv_len
-            if fft and spectrum is None:
-                spectrum = kernel_spectrum(params["tred_w"], cfg.conv_channels_total(), size)
-            todo.put((lo, hi, fft))
+        for chunk in chunks:
+            todo.put(chunk)
 
         def take():
             try:

@@ -20,14 +20,15 @@ the best epoch's parameters are one vector copy.
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas_pin
 from .checkpoint import param_checksum
 from .data import NORMALIZATION_MODES, SeriesMatrix, fit_normalizer, make_windows
 from .errors import DataError, DivergenceError
@@ -378,16 +379,16 @@ def pool_map(fn, jobs: list, workers: int) -> list:
     processes when that is > 1. The pool starts all its processes at once,
     so it never has more than there are jobs.
 
-    The processes are spawned, and each starts by importing `pgad.cli`,
-    which pins its BLAS to one thread as in every CLI process, unless the
-    environment sets a thread count or numpy is already loaded. A forked
-    process would keep this process's BLAS threads: from a process with
-    two, two workers on two CPUs ran criterion 7's cells 2.2 times slower
-    than one process. A spawned process first imports the calling
-    script's main module, so a script that calls this with `workers` > 1
-    needs an `if __name__ == "__main__":` guard, and its workers keep
-    numpy's default BLAS threads if that module imports numpy before
-    `pgad.cli`.
+    The processes are spawned with BLAS pinned to one thread, as in every
+    CLI process: when this process's environment sets none of
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, all three
+    are set to 1 while the processes start, then removed again. A caller
+    who sets any of them keeps control of all three. A forked process
+    would keep this process's BLAS threads: from a process with two, two
+    workers on two CPUs ran criterion 7's cells 2.2 times slower than one
+    process. A spawned process first imports the calling script's main
+    module, so a script that calls this with `workers` > 1 needs an
+    `if __name__ == "__main__":` guard.
     """
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -395,11 +396,18 @@ def pool_map(fn, jobs: list, workers: int) -> list:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        pin = _blas_pin()
         with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=importlib.import_module,
-                                 initargs=("pgad.cli",)) as pool:
-            return list(pool.map(fn, jobs))
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            # a spawned process starts with this environment, and each job
+            # submitted starts one until the pool is full
+            os.environ.update(pin)
+            try:
+                results = pool.map(fn, jobs)
+            finally:
+                for var in pin:
+                    del os.environ[var]
+            return list(results)
     return [fn(job) for job in jobs]
 
 

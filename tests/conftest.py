@@ -12,10 +12,10 @@ import pytest
 
 _SET_BEFORE = set(os.environ)
 
-from pgad import cli  # noqa: E402
+from pgad import _BLAS_THREAD_VARS, cli  # noqa: E402,F401
 
 # and the pin does not leak into subprocesses that set no thread count
-for _var in cli._BLAS_THREAD_VARS:
+for _var in _BLAS_THREAD_VARS:
     if _var not in _SET_BEFORE:
         os.environ.pop(_var, None)
 

@@ -228,6 +228,17 @@ def traced_peak(fn, *args, **kwargs):
             tracemalloc.stop()
 
 
+def start_environ(name: str) -> str | None:
+    """The value `name` had in this process's environment when it started,
+    from /proc/self/environ, which later changes to os.environ leave alone;
+    None when it was unset."""
+    with open("/proc/self/environ", "rb") as fh:
+        entries = fh.read().split(b"\0")
+    prefix = name.encode() + b"="
+    return next((entry[len(prefix):].decode() for entry in entries
+                 if entry.startswith(prefix)), None)
+
+
 def gathered_temporal_reduction(feats, local, tred_w, tred_b) -> np.ndarray:
     """The temporal reduction of the windows at offsets `local` of a span
     whose conv features are feats (N, C, S): each window's (C, L) slice of

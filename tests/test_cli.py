@@ -787,7 +787,7 @@ class TestMallocPin:
             starts = np.arange(10 * windows_per_chunk(8))
             values = rng.normal(size=(8, starts[-1] + config.window))
             slots = starts % config.slots
-            chunks = len(list(predict_chunks(starts, 8, config.window)))
+            chunks = len(list(predict_chunks(starts, 8)))
             for workers in (1, 2):
                 model.predict(starts, values, slots, adjacencies, params, workers=workers)
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -614,7 +614,7 @@ class TestPredictOverSeries:
     def oracle(model, starts, values, slot_ids, adjacencies, params):
         cfg = model.config
         out = np.empty((len(starts), cfg.n_sensors))
-        for lo, hi in predict_chunks(starts, cfg.n_sensors, cfg.window):
+        for lo, hi in predict_chunks(starts, cfg.n_sensors):
             windows = series_windows(values, starts[lo:hi], cfg.window)
             out[lo:hi], _ = model.forward(windows, slot_ids[lo:hi], adjacencies, params)
         return out
@@ -640,16 +640,10 @@ class TestPredictOverSeries:
     def test_bits_equal_forward_on_its_chunks(self, n, stride):
         per_chunk = self.chunk_width(n, stride)
         model, params, adjacencies, starts, values, slot_ids = self.chunked_instance(n, stride)
-        w = model.config.window
-        chunks = list(predict_chunks(starts, n, w))
+        chunks = list(predict_chunks(starts, n))
         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
         assert chunks[-1][1] == len(starts)
-        if stride <= w:
-            assert [hi - lo for lo, hi in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
-        else:
-            # the span cap, not the window count, ends these chunks
-            assert max(hi - lo for lo, hi in chunks) < per_chunk
-            assert max(starts[hi - 1] + w - starts[lo] for lo, hi in chunks) <= per_chunk * w
+        assert [hi - lo for lo, hi in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
         out = model.predict(starts, values, slot_ids, adjacencies, params)
         expected = self.oracle(model, starts, values, slot_ids, adjacencies, params)
         if stride == 1:
@@ -663,12 +657,12 @@ class TestPredictOverSeries:
     def test_only_consecutive_chunks_are_wide(self, n):
         """A run of consecutive windows, then windows 3 apart: a chunk holds
         up to `windows_per_chunk` windows only when they are consecutive,
-        else at most a micro-batch's, as their gathered features would
+        else at most a micro-batch's, as the `forward` trace they hold would
         double with the chunk."""
         wide, narrow = windows_per_chunk(n), windows_per_batch(n)
         starts = np.concatenate([np.arange(wide + narrow // 2),
                                  wide + narrow // 2 + 3 * np.arange(3 * narrow)])
-        chunks = list(predict_chunks(starts, n, 32))
+        chunks = list(predict_chunks(starts, n))
         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
         assert chunks[-1][1] == len(starts)
         widths = [hi - lo for lo, hi in chunks]
@@ -681,7 +675,7 @@ class TestPredictOverSeries:
     @pytest.mark.parametrize("stride", [1, 3, 35])
     def test_bits_equal_at_any_worker_count(self, n, stride):
         model, params, adjacencies, starts, values, slot_ids = self.chunked_instance(n, stride)
-        assert len(list(predict_chunks(starts, n, model.config.window))) >= 3
+        assert len(list(predict_chunks(starts, n))) >= 3
         one = model.predict(starts, values, slot_ids, adjacencies, params, workers=1)
         for workers in (2, 3):
             np.testing.assert_array_equal(
@@ -722,7 +716,7 @@ class TestPredictOverSeries:
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
             8, 8, n_windows, 1)
         values[0] = np.arange(values.shape[1])  # a window's first value is its start
-        chunks = list(predict_chunks(starts, 8, model.config.window))
+        chunks = list(predict_chunks(starts, 8))
         pooled = min(workers, len(chunks)) > 1
         runs, caller = chunk_runs(model, pooled)
         before = threading.active_count()
@@ -749,7 +743,7 @@ class TestPredictOverSeries:
         its first of 10; the pool thread then takes no further chunk."""
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
             8, 8, 10 * windows_per_chunk(8), 1)
-        assert len(list(predict_chunks(starts, 8, model.config.window))) == 10
+        assert len(list(predict_chunks(starts, 8))) == 10
         caller = threading.get_ident()
         pool_started, raised = threading.Event(), threading.Event()
         runs = []
@@ -772,20 +766,17 @@ class TestPredictOverSeries:
         assert len(runs) == 2 and caller in runs
 
     @pytest.mark.parametrize("n_windows, stride, reduced", [
-        # chunks of 128, 128 and 12 windows: 2 * 160 < 12 * 28, so the tail
-        # takes the FFT at the first chunks' size too
+        # chunks of 128, 128 and 12 or 11 windows: the tail takes the FFT at
+        # the first chunks' size too, however short
         pytest.param(2 * windows_per_chunk(8) + 12, 1, 3, id="tail-by-fft"),
-        # the 11-window tail costs less gathered at that size, though it
-        # would take the FFT at its own (2 * 40 < 11 * 28)
-        pytest.param(2 * windows_per_chunk(8) + 11, 1, 2, id="tail-gathered"),
+        pytest.param(2 * windows_per_chunk(8) + 11, 1, 3, id="short-tail-by-fft"),
         pytest.param(5, 1, 1, id="one-short-chunk"),
-        (150, 3, 0),  # windows 3 apart gather
+        (150, 3, 0),  # windows 3 apart run forward
     ])
     def test_fft_reduction_runs_on_consecutive_chunks(self, monkeypatch, n_windows, stride,
                                                       reduced):
-        """Every chunk of a call takes the FFT size of its longest run of
-        consecutive windows, whose kernel spectrum is taken once; a chunk
-        runs the FFT when that costs fewer multiply-adds at that size."""
+        """Every chunk of consecutive windows runs the FFT, at the size of
+        the call's longest one, whose kernel spectrum is taken once."""
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
             10, 8, n_windows, stride)
         assert model.config.conv_out_len() == 28
@@ -803,7 +794,7 @@ class TestPredictOverSeries:
         monkeypatch.setattr(model_module, "kernel_spectrum", recording)
         model.predict(starts, values, slot_ids, adjacencies, params)
         assert len(calls) == reduced
-        chunks = list(predict_chunks(starts, 8, model.config.window))
+        chunks = list(predict_chunks(starts, 8))
         assert calls == [hi - lo for lo, hi in chunks][:reduced]
         longest = min(n_windows, windows_per_chunk(8))
         assert sizes == ([fft_size(longest - 1 + 28)] if reduced else [])
@@ -823,11 +814,16 @@ class TestPredictOverSeries:
     ])
     @pytest.mark.parametrize("n, stride", [(8, 1), (51, 3), (8, 35)])
     def test_deeper_conv_within_last_bits(self, overrides, n, stride):
+        """Consecutive windows take the FFT: equal to rounding. Windows
+        further apart run `forward` itself: equal bit for bit."""
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
             500 + n + stride, n, 150, stride, **overrides
         )
         out = model.predict(starts, values, slot_ids, adjacencies, params)
         expected = self.oracle(model, starts, values, slot_ids, adjacencies, params)
+        if stride > 1:
+            np.testing.assert_array_equal(out, expected)
+            return
         scale = max(1.0, float(np.abs(expected).max()))
         assert np.abs(out - expected).max() <= 1e-14 * scale
 
@@ -851,9 +847,9 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("n", [8, 51])
     def test_predict_holds_one_chunks_conv_features(self, n):
-        """At one worker, consecutive windows never gather their conv
+        """At one worker, consecutive windows never hold every window's conv
         features: the peak, with the kernel spectrum and one chunk's spatial,
-        FFT and MLP arrays, stays below 0.75 times the gathered features of
+        FFT and MLP arrays, stays below 0.75 times the per-window features of
         one training micro-batch, half a predict chunk's rows, plus the
         output."""
         config = ModelConfig(n_sensors=n)
@@ -869,6 +865,30 @@ class TestPeakMemory:
         out, peak = traced_peak(model.predict, starts, values, slot_ids, adjacencies, params)
         features = windows_per_batch(n) * n * config.temporal_flat_dim() * 8
         assert peak <= 0.75 * features + out.nbytes
+
+    @pytest.mark.parametrize("n", [8, 51])
+    @pytest.mark.parametrize("stride", [3, 35])
+    def test_strided_predict_holds_one_micro_batch_trace(self, n, stride):
+        """At one worker, windows that are not consecutive run `forward` on
+        at most a micro-batch's windows: the peak stays within 1.15 times
+        that of one `forward` on `windows_per_batch(n)` windows, plus the
+        output."""
+        config = ModelConfig(n_sensors=n)
+        model = Model(config)
+        rng = np.random.default_rng(n + stride)
+        params = model.init_params(rng)
+        adjacencies = build_adjacencies(params, config.slots, min(15, n - 1))
+        per_batch = windows_per_batch(n)
+        starts = stride * np.arange(3 * per_batch + 7)
+        values = rng.normal(size=(n, starts[-1] + config.window))
+        slot_ids = starts % config.slots
+        windows = series_windows(values, starts[:per_batch], config.window)
+        model.forward(windows, slot_ids[:per_batch], adjacencies, params)
+        _, forward_peak = traced_peak(model.forward, windows, slot_ids[:per_batch],
+                                      adjacencies, params)
+        del windows
+        out, peak = traced_peak(model.predict, starts, values, slot_ids, adjacencies, params)
+        assert peak <= 1.15 * forward_peak + out.nbytes
 
     def test_backward_releases_the_conv_features(self):
         model, params, windows, slot_ids, adjacencies, _ = random_instance(

@@ -3,10 +3,12 @@
 import concurrent.futures
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pgad import _BLAS_THREAD_VARS
 from pgad.data import generate_synthetic
 from pgad.errors import DataError, DivergenceError
 from pgad import model as model_module
@@ -38,6 +40,7 @@ from helpers import (
     l2_loss,
     per_array_adam_step,
     random_instance,
+    start_environ,
     tiny_model_config,
     trace_grads,
     traced_peak,
@@ -545,6 +548,27 @@ class TestPoolMap:
     def test_pool_has_no_more_processes_than_jobs(self, pool_sizes):
         assert pool_map(abs, [-1, -2], workers=8) == [1, 2]
         assert pool_sizes == [2]
+
+    @pytest.mark.skipif(not Path("/proc/self/environ").exists(),
+                        reason="reads each worker's start-up environment from /proc")
+    @pytest.mark.parametrize("caller, expected", [
+        ({}, dict.fromkeys(_BLAS_THREAD_VARS, "1")),
+        ({"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2",
+                                    "MKL_NUM_THREADS": None}),
+    ], ids=["unset", "caller-sets-one"])
+    def test_workers_start_with_blas_pinned(self, monkeypatch, caller, expected):
+        """Workers start with BLAS pinned to one thread unless the caller
+        sets a thread count, even when numpy loaded before `pgad.cli`; the
+        caller's environment is left as it was."""
+        for var in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in caller.items():
+            monkeypatch.setenv(var, value)
+        before = dict(os.environ)
+        jobs = [var for var in _BLAS_THREAD_VARS for _ in range(2)]
+        seen = pool_map(start_environ, jobs, workers=2)
+        assert seen == [expected[var] for var in jobs]
+        assert dict(os.environ) == before
 
     def test_one_job_runs_in_this_process(self, pool_sizes):
         # a lambda cannot be pickled, so it could not run in a pool
