@@ -5,9 +5,11 @@
 PARENT is any git revision. Its committed files are exported with
 `pairs.export_revision` into `.bench_build/` (deleted at exit); the other
 side is the working tree this script lives in. For every workload that
-`perfbench/run.py` defines and every seed, each tree runs the benchmark's
-own steps once, with BLAS pinned to one thread: `synth`, then `train` (on
-the training tail for a score-only workload) and `score`. The outputs are
+`perfbench/run.py` defines, and for ref8 trained with `--stride 3` (whose
+validation windows are not consecutive, so `predict` runs `forward` on
+them), and every seed, each tree runs the benchmark's own steps once,
+with BLAS pinned to one thread: `synth`, then `train` (on the training
+tail for a score-only workload) and `score`. The outputs are
 then compared: every checkpoint array, the checkpoint meta without the
 wall-clock fields (`wall_clock_seconds` and each epoch's `seconds`), the
 loss curve, the scores CSV and the metrics JSON. Prints one verdict per
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -39,6 +42,12 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import run as perfbench  # noqa: E402  (perfbench/run.py)
 
 DEFAULT_SEEDS = "7,13"
+WORKLOADS = {
+    **perfbench.WORKLOADS,
+    "ref8-stride3": dataclasses.replace(
+        perfbench.WORKLOADS["ref8"],
+        model_flags=perfbench.WORKLOADS["ref8"].model_flags + ("--stride", "3")),
+}
 
 
 def run_steps(root: Path, work: Path, workload, seed: int) -> dict[str, Path]:
@@ -160,7 +169,7 @@ def main(argv=None) -> int:
         sha = export_revision(args.parent, work / "parent-tree")
         print(f"parent {sha[:12]} vs the working tree")
         runs = differing = 0
-        for name, workload in perfbench.WORKLOADS.items():
+        for name, workload in WORKLOADS.items():
             for seed in args.seeds:
                 outputs = {side: run_steps(root, work / f"{name}-{seed}" / side, workload, seed)
                            for side, root in (("parent", work / "parent-tree"),

@@ -350,6 +350,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_train(args, file_cfg) -> int:
+    if args.grid_lrs is not None and not args.grid:
+        raise ConfigError("--grid-lrs needs --grid")
     series = ingest_csv(args.data)
     config = build_train_config(args, file_cfg)
     threads = _threads(args, file_cfg)

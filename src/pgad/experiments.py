@@ -128,10 +128,16 @@ def sweep_f1s(
     workers: int = 1,
     **score_kwargs,
 ) -> list[dict]:
-    """F1 per swept value, averaged over seeds; rows keep sweep order."""
+    """F1 per swept value, averaged over seeds; rows keep sweep order.
+    Every swept config is validated before any cell starts."""
     if not values:
         raise ConfigError("sweep needs at least one value")
     configs = [axis_config(base_config, axis, value) for value in values]
+    for value, config in zip(values, configs):
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise ConfigError(f"sweep {axis}={value}: {exc}") from exc
     rows = []
     for value, (mean_f1, per_seed) in zip(
         values, _mean_f1s(train_series, test_series, configs, seeds, workers, score_kwargs)

@@ -5,7 +5,8 @@ phase slot's sensor graph: attention logits come from the slot's node
 embeddings, aggregation weights the linearly projected input windows.
 The temporal branch stacks multi-scale dilated causal convolutions over
 the raw window and reduces the flattened channels to a fixed width. The
-two features are concatenated, layer-normalized, and mapped through a
+two features are written into one fused buffer [h_t || h_s]
+(`Model._spatial_into_fused`), layer-normalized, and mapped through a
 two-layer MLP to one next-step prediction per sensor.
 
 Each forward block has its backward beside it; `conv_stack` keeps each
@@ -25,21 +26,18 @@ weights tie), and row-wise products run as one BLAS matmul over all
 rows, which makes predictions bit-identical under any simultaneous
 permutation of the sensors.
 
-`Model.predict` scores the windows of a series in chunks of about
-PREDICT_ROWS rows, twice a training micro-batch's BATCH_ROWS: it keeps
-no activation for a backward. It takes each slot's attention
-coefficients and mix order once per call. A chunk of consecutive windows
-runs the conv stack once over its span of the series, which the windows
-share, and takes the temporal reduction as one long cross-correlation of
-the conv features with `tred_w`, by FFT (`correlate_span`) at one size
-per call. It writes h_t into the chunk's one fused buffer beside h_s,
-and LayerNorm and the MLP run in place on it (`normalize_and_predict`,
-the arithmetic `forward` runs). Every other chunk, of windows further
-apart or without the temporal branch, runs `forward` itself on its
-windows and keeps only the predictions, so it equals `forward` on the
-same windows bit for bit at any conv depth; windows that are not
-consecutive take at most a micro-batch's width. The FFT reduction agrees
-with `forward`'s to rounding. The calling thread and up to `workers` - 1
+`Model.predict` scores the windows of a series in the chunks of
+`predict_chunks`, which sets each chunk's width and path, and keeps no
+activation for a backward. With the temporal branch on, a chunk of up to
+PREDICT_ROWS rows (twice a training micro-batch's BATCH_ROWS) of
+consecutive windows runs the conv stack once over its span of the
+series, which the windows share, and takes the temporal reduction as one
+long cross-correlation of the conv features with `tred_w`, by FFT
+(`correlate_span`) at one size per call, into the fused buffer. Every
+other chunk, of at most a micro-batch's windows, runs `forward` itself
+and keeps only the predictions, so it equals `forward` on the same
+windows bit for bit at any conv depth. The FFT reduction agrees with
+`forward`'s to rounding. The calling thread and up to `workers` - 1
 pool threads take the chunks from one queue; the bounds do not depend on
 the thread count, so neither does any output bit.
 """
@@ -211,13 +209,14 @@ def _rowwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (weight.shape[0],))
 
 
-def project_input(window: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Shared per-sensor affine map x @ weight.T + bias.
+def project_input(window: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Shared per-sensor affine map x @ weight.T + bias, into `out` if given.
 
     Maps raw windows to d-dim features, reduces the flattened conv
     features to the temporal width, and is the MLP's first layer.
     """
-    return _rowwise(np.asarray(window), weight) + bias
+    return np.add(_rowwise(np.asarray(window), weight), bias, out=out)
 
 
 def project_input_backward(x, weight, d_out, input_grad: bool = True):
@@ -260,15 +259,16 @@ def attention_backward(att, d_alpha, embedding, att_w, att_a, slope: float = 0.2
     return dv.T @ embedding, np.concatenate([v.T @ dsrc, v.T @ ddst]), dv @ att_w
 
 
-def spatial_aggregate(x_proj, orders, att_w, rows) -> dict:
+def spatial_aggregate(x_proj, orders, att_w, rows, out=None) -> dict:
     """h_i = ReLU(sum_j alpha[i, j] * W x'_j), the self term included in alpha.
 
     `orders` holds one `mix_order(alpha)` per phase slot, and orders[g]
     mixes only the batch rows rows[g] of the (B, N, d) input `x_proj`.
-    Returns `h_s` with the projected features `wx` and the ReLU mask.
+    Returns `h_s`, written into `out` if given, with the projected
+    features `wx` and the ReLU mask.
     """
     wx = _rowwise(x_proj, att_w)
-    pre_s = np.empty_like(wx)
+    pre_s = np.empty_like(wx) if out is None else out
     for idx, order in zip(rows, orders):
         pre_s[idx] = _alpha_order_mix(order, wx[idx])
     s_mask = pre_s > 0
@@ -423,23 +423,11 @@ def normalize_and_predict(fused, params, ln_eps: float = 1e-5, keep: bool = True
     }
 
 
-def fuse_and_predict(h_s, h_t, params, ln_eps: float = 1e-5) -> dict:
-    """[h_t || h_s] -> LayerNorm -> 2-layer MLP -> per-node scalar `pred`.
-
-    `h_t` may be None when the temporal branch is disabled. The inputs are
-    copied into one fused buffer for `normalize_and_predict`, which also
-    returns the normalized input, LayerNorm and MLP activations backward
-    needs.
-    """
-    fused = np.array(h_s, dtype=np.float64) if h_t is None \
-        else np.concatenate([h_t, h_s], axis=-1)
-    return normalize_and_predict(fused, params, ln_eps)
-
-
-def fuse_and_predict_backward(saved, d_pred, params, t_dim: int):
+def normalize_and_predict_backward(saved, d_pred, params, t_dim: int):
     """LayerNorm and MLP grads by parameter name, then the grads of h_s and
-    h_t, from the values `fuse_and_predict` returned and d(loss)/d(pred)
-    (B, N). `t_dim` is h_t's width, 0 (and its grad None) without h_t."""
+    h_t, from the values `normalize_and_predict` kept over [h_t || h_s] and
+    d(loss)/d(pred) (B, N). `t_dim` is h_t's width, 0 (and its grad None)
+    without h_t."""
     d_pred = np.asarray(d_pred)
     grads = {"mlp_w2": np.einsum("bn,bnh->h", d_pred, saved["r1"]),
              "mlp_b2": d_pred.sum()}
@@ -525,21 +513,24 @@ def correlate_span(feats, spectrum, size: int, count: int) -> np.ndarray:
     return np.fft.irfft(products, size, axis=0)[:count]
 
 
-def predict_chunks(starts: np.ndarray, n_sensors: int):
-    """(lo, hi) bounds of `Model.predict`'s chunks over ascending `starts`.
-
-    A chunk holds at most `windows_per_chunk(n_sensors)` consecutive
-    windows. Windows that are not all consecutive run `Model.forward`, so
-    their chunk holds at most a micro-batch's `windows_per_batch(n_sensors)`
-    and its trace is no larger than one training micro-batch's.
+def predict_chunks(starts: np.ndarray, n_sensors: int, use_temporal: bool):
+    """(lo, hi, fft) of each of `Model.predict`'s chunks over ascending
+    `starts`: its bounds, and whether it takes the FFT reduction, which it
+    does when the temporal branch is on and its windows are consecutive.
+    Such a chunk holds up to `windows_per_chunk(n_sensors)` windows. Every
+    other chunk runs `Model.forward` and holds at most a micro-batch's
+    `windows_per_batch(n_sensors)`, so its trace is no larger than one
+    training micro-batch's.
     """
+    consecutive = np.diff(starts) == 1
     lo = 0
     while lo < len(starts):
-        hi = lo + windows_per_chunk(n_sensors)
-        if not (np.diff(starts[lo:hi]) == 1).all():
-            hi = lo + windows_per_batch(n_sensors)
-        hi = min(hi, len(starts))
-        yield lo, hi
+        hi = min(lo + windows_per_chunk(n_sensors), len(starts))
+        fft = use_temporal and bool(consecutive[lo : hi - 1].all())
+        if not fft:
+            hi = min(lo + windows_per_batch(n_sensors), len(starts))
+            fft = use_temporal and bool(consecutive[lo : hi - 1].all())
+        yield lo, hi, fft
         lo = hi
 
 
@@ -548,13 +539,13 @@ class ForwardTrace:
     """Retained intermediates of one batched forward pass.
 
     `batch` holds the whole-batch intermediates backward needs: the
-    windows, projected inputs, spatial and temporal features, and the
-    LayerNorm and MLP activations. `groups` holds one dict per phase slot
-    present in the batch: its batch row indices `idx`, the `slot` and the
-    slot's attention internals `att` (`Model.slot_attention`'s value,
-    which the traces of one training step share). `Model.backward` takes
-    the conv features `t_flat` out of `batch`, so a trace backs one
-    backward.
+    windows, projected inputs, the neighbour mix's inputs and ReLU mask,
+    the conv features, and the LayerNorm and MLP activations. `groups`
+    holds one dict per phase slot present in the batch: its batch row
+    indices `idx`, the `slot` and the slot's attention internals `att`
+    (`Model.slot_attention`'s value, which the traces of one training
+    step share). `Model.backward` takes the conv features `t_flat` out of
+    `batch`, so a trace backs one backward.
     """
 
     batch: dict
@@ -644,20 +635,32 @@ class Model:
         return [{c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}
                 for l in range(cfg.tcn_layers)]
 
-    def _spatial(self, windows, orders, rows, params) -> dict:
-        """Input projection of windows (B, N, w) and the neighbour mix of
-        the batch rows rows[g] in orders[g]."""
+    def _spatial_into_fused(self, windows, slot_ids, attention, params):
+        """The spatial branch of windows (B, N, w) with slot ids (B,): the
+        input projection, then the neighbour mix of each slot's rows in
+        the `order` of attention[slot]. Returns the slot groups
+        (`ForwardTrace.groups`), the values backward needs, and one
+        (B, N, T + S) buffer whose last S columns hold h_s, for the caller
+        to write h_t into its first T; without the temporal branch, h_s
+        itself."""
+        groups = [{"idx": np.flatnonzero(slot_ids == slot), "slot": slot,
+                   "att": attention[slot]} for slot in present_slots(slot_ids)]
         x_proj = project_input(windows, params["proj_w"], params["proj_b"])
-        values = {"window": windows, "x_proj": x_proj}
-        values.update(spatial_aggregate(x_proj, orders, params["att_w"], rows))
-        return values
+        fused = np.empty(x_proj.shape[:-1] + (self.config.fused_dim(),))
+        saved = spatial_aggregate(
+            x_proj, [g["att"]["order"] for g in groups], params["att_w"],
+            [g["idx"] for g in groups], out=fused[..., -self.config.spatial_dim:])
+        values = {"window": windows, "x_proj": x_proj, "wx": saved["wx"],
+                  "s_mask": saved["s_mask"]}
+        return groups, values, fused
 
     def forward(self, windows, slot_ids, adjacencies, params, attention=None):
         """windows (B, N, w); slot_ids (B,); adjacencies: one per slot.
 
         Every block runs once over the whole batch except the attention
         coefficients and the neighbour mix, which run once per phase slot
-        present and write their rows into one (B, N, F) buffer.
+        present; h_s and then h_t are written into one fused buffer
+        (`_spatial_into_fused`) that LayerNorm and the MLP run on.
         `attention` holds `slot_attention`'s values for at least the slots
         present; without it they are computed here. The forward reads only
         each value's `order`, and `backward` its `alpha` too.
@@ -671,21 +674,16 @@ class Model:
                 f"windows shaped {windows.shape}, expected "
                 f"(B, {cfg.n_sensors}, {cfg.window})"
             )
-        present = present_slots(slot_ids)
         if attention is None:
-            attention = self.slot_attention(present, adjacencies, params)
-        groups = [{"idx": np.flatnonzero(slot_ids == slot), "slot": slot,
-                   "att": attention[slot]} for slot in present]
-        values = self._spatial(
-            windows, [g["att"]["order"] for g in groups], [g["idx"] for g in groups], params,
-        )
+            attention = self.slot_attention(present_slots(slot_ids), adjacencies, params)
+        groups, values, fused = self._spatial_into_fused(windows, slot_ids, attention, params)
         # the conv runs after the spatial branch: its output would push the
         # spatial inputs out of cache
-        h_t = None
         if cfg.use_temporal:
             values.update(conv_stack(windows, self._filter_layers(params), cfg.dilation))
-            h_t = project_input(values["t_flat"], params["tred_w"], params["tred_b"])
-        values.update(fuse_and_predict(values["h_s"], h_t, params, cfg.ln_eps))
+            project_input(values["t_flat"], params["tred_w"], params["tred_b"],
+                          out=fused[..., : cfg.temporal_dim])
+        values.update(normalize_and_predict(fused, params, cfg.ln_eps))
         return values["pred"], ForwardTrace(values, groups)
 
     def predict(self, starts, values, slot_ids, adjacencies, params, workers: int = 1):
@@ -694,12 +692,12 @@ class Model:
         without traces.
 
         Each slot's attention coefficients and mix order are taken once
-        per call, on the calling thread. The windows run in
-        `predict_chunks`, of two kinds. A chunk of consecutive windows,
-        with the temporal branch on, copies its span of the series and runs
-        the spatial blocks over its windows as `forward` does. It then
-        copies h_s into one (windows, N, T + S) buffer, drops the spatial
-        arrays and runs the conv stack once over the span; h_t is the
+        per call, on the calling thread. The windows run in the chunks of
+        `predict_chunks`, which also names each chunk's path. A chunk that
+        takes the FFT copies its span of the series and runs the spatial
+        branch over its windows as `forward` does (`_spatial_into_fused`),
+        keeping only the fused (windows, N, T + S) buffer that holds h_s.
+        It then runs the conv stack once over the span; h_t is the
         cross-correlation of the span's conv features with `tred_w`
         (`correlate_span`), which drops the features once transformed, and
         is written with its bias straight into the buffer's first T
@@ -737,12 +735,10 @@ class Model:
         attention = {slot: {"order": att["order"]} for slot, att in self.slot_attention(
             present_slots(slot_ids), adjacencies, params).items()}
         out = np.empty((starts.size, cfg.n_sensors))
-        chunks = [(lo, hi, cfg.use_temporal and bool((np.diff(starts[lo:hi]) == 1).all()))
-                  for lo, hi in predict_chunks(starts, cfg.n_sensors)]
+        chunks = list(predict_chunks(starts, cfg.n_sensors, cfg.use_temporal))
         longest = max((hi - lo for lo, hi, fft in chunks if fft), default=0)
         if longest:
             # one FFT size, and so one kernel spectrum, for every chunk
-            t_dim = cfg.temporal_dim
             filter_layers = self._filter_layers(params)
             size = fft_size(longest - 1 + cfg.conv_out_len())
             spectrum = kernel_spectrum(params["tred_w"], cfg.conv_channels_total(), size)
@@ -755,22 +751,14 @@ class Model:
                                           params, attention)[0]
                 return
             span = np.ascontiguousarray(values[:, starts[lo] : starts[hi - 1] + w])
-            chunk_slots = slot_ids[lo:hi]
-            present = present_slots(chunk_slots)
-            h_s = self._spatial(
+            fused = self._spatial_into_fused(
                 np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1), 1, 0),
-                [attention[slot]["order"] for slot in present],
-                [np.flatnonzero(chunk_slots == slot) for slot in present], params,
-            )["h_s"]
-            # one buffer [h_t || h_s] that LayerNorm and the MLP run in place
-            fused = np.empty(h_s.shape[:-1] + (t_dim + h_s.shape[-1],))
-            fused[..., t_dim:] = h_s
-            del h_s
+                slot_ids[lo:hi], attention, params)[2]
             # no name holds the span's conv features: correlate_span drops them
             np.add(correlate_span(
                 conv_stack(span, filter_layers, cfg.dilation)["t_flat"].reshape(
                     cfg.n_sensors, cfg.conv_channels_total(), -1),
-                spectrum, size, hi - lo), params["tred_b"], out=fused[..., :t_dim])
+                spectrum, size, hi - lo), params["tred_b"], out=fused[..., : cfg.temporal_dim])
             out[lo:hi] = normalize_and_predict(fused, params, cfg.ln_eps, keep=False)["pred"]
 
         todo = queue.SimpleQueue()
@@ -815,7 +803,7 @@ class Model:
         one backward: this releases its conv features `t_flat` on the way."""
         cfg = self.config
         saved, groups = trace.batch, trace.groups
-        blocks, d_h_s, d_h_t = fuse_and_predict_backward(
+        blocks, d_h_s, d_h_t = normalize_and_predict_backward(
             saved, d_preds, params, cfg.temporal_dim if cfg.use_temporal else 0)
         if cfg.use_temporal:
             # the weight grads first, then t_flat is released before its

@@ -181,6 +181,18 @@ class TestTrain:
         assert code == 1
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("rates", ["abc", "0.005"])
+    def test_grid_lrs_without_grid_exits_one(self, cli_workspace, tmp_path, capsys, rates):
+        code = cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN, "--grid-lrs", rates,
+            "--checkpoint", str(tmp_path / "m.npz"),
+            "--report", str(tmp_path / "r.json"),
+            "--loss-curve", str(tmp_path / "c.csv"),
+        ])
+        assert code == 1
+        assert "error: --grid-lrs needs --grid" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.parametrize("flag", ["--lr", "--grad-clip"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rate_or_clip_exits_one(self, cli_workspace, tmp_path, flag, value):
@@ -690,6 +702,27 @@ class TestSweepCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("axis, message", [
+        ("--filters", "sweep filters=0: spatial_dim must be positive"),
+        ("--neighbors", "sweep neighbors=0: neighbors must be >= 1"),
+    ], ids=["filters", "neighbors"])
+    def test_invalid_swept_value_exits_one(self, cli_workspace, tmp_path, axis, message):
+        """`pgad sweep` with a swept value that makes an invalid config ends
+        with exit 1 and one `error:` line, not a traceback."""
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from pgad.cli import main; sys.exit(main())",
+             "sweep", str(cli_workspace / "train.csv"), str(cli_workspace / "test.csv"),
+             *without_flag(TINY_TRAIN, "--neighbors"), axis, "0",
+             "--out", str(tmp_path / "s.csv")],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1
+        assert f"error: {message}" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "s.csv").exists()
+
     def test_no_axis_exits_one(self, cli_workspace, tmp_path):
         code = cli.main([
             "sweep", str(cli_workspace / "train.csv"),
@@ -787,7 +820,7 @@ class TestMallocPin:
             starts = np.arange(10 * windows_per_chunk(8))
             values = rng.normal(size=(8, starts[-1] + config.window))
             slots = starts % config.slots
-            chunks = len(list(predict_chunks(starts, 8)))
+            chunks = len(list(predict_chunks(starts, 8, True)))
             for workers in (1, 2):
                 model.predict(starts, values, slots, adjacencies, params, workers=workers)
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

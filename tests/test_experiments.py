@@ -2,6 +2,7 @@
 
 import pytest
 
+from pgad import experiments
 from pgad.data import SeriesMatrix, generate_synthetic
 from pgad.errors import ConfigError
 from pgad.experiments import (
@@ -83,6 +84,21 @@ class TestCells:
     def test_empty_sweep_rejected(self, tiny_splits):
         with pytest.raises(ConfigError):
             sweep_f1s(*tiny_splits, TINY, "neighbors", ())
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("filters", (4, 0), "filters=0: spatial_dim must be positive"),
+        ("neighbors", (2, 0), "neighbors=0: neighbors must be >= 1"),
+    ], ids=["filters", "neighbors"])
+    def test_invalid_swept_value_rejected_before_any_cell(self, tiny_splits, monkeypatch,
+                                                          axis, values, message):
+        """A swept value that makes an invalid config is a ConfigError
+        naming the axis and value, raised before any cell trains, the valid
+        values before it included."""
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match=message):
+            sweep_f1s(*tiny_splits, TINY, axis, values)
+        assert trained == []
 
     def test_process_pool_matches_serial(self, tiny_splits):
         serial, pooled = (

@@ -23,11 +23,10 @@ from pgad.model import (
     conv_stack_backward,
     correlate_span,
     fft_size,
-    fuse_and_predict,
-    fuse_and_predict_backward,
     kernel_spectrum,
     mix_order,
     normalize_and_predict,
+    normalize_and_predict_backward,
     predict_chunks,
     project_input,
     project_input_backward,
@@ -383,7 +382,15 @@ class TestTemporalModule:
                 assert_matches_differences(analytic, loss, filters[c])
 
 
+def predict_fused(h_s, h_t, params):
+    """`normalize_and_predict`, keeping its activations, over a new
+    [h_t || h_s] buffer: the fused features `forward` builds."""
+    return normalize_and_predict(np.concatenate([h_t, h_s], -1), params)
+
+
 class TestFuseAndPredict:
+    """LayerNorm and the MLP over the fused features [h_t || h_s]."""
+
     def base_params(self, rng, fused_dim, hidden=4):
         return {
             "ln_gain": np.ones(fused_dim),
@@ -401,7 +408,7 @@ class TestFuseAndPredict:
         params["mlp_b1"] = np.zeros_like(params["mlp_b1"])
         params["mlp_w2"] = np.zeros_like(params["mlp_w2"])
         h_s, h_t = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
-        pred = fuse_and_predict(h_s, h_t, params)["pred"]
+        pred = predict_fused(h_s, h_t, params)["pred"]
         np.testing.assert_array_equal(pred, 0.0)
 
     def test_constant_feature_leaves_only_bias_path(self):
@@ -409,7 +416,7 @@ class TestFuseAndPredict:
         params = self.base_params(rng, 6)
         h_s = np.full((2, 6), 3.7)
         expected = np.maximum(params["mlp_b1"], 0.0) @ params["mlp_w2"]
-        pred = fuse_and_predict(h_s, None, params)["pred"]
+        pred = predict_fused(h_s, np.empty((2, 0)), params)["pred"]
         np.testing.assert_allclose(pred, expected, atol=1e-9)
 
     def test_matches_dense_oracle(self):
@@ -426,7 +433,7 @@ class TestFuseAndPredict:
         z1 = np.maximum(y @ params["mlp_w1"].T + params["mlp_b1"], 0.0)
         expected = z1 @ params["mlp_w2"] + params["mlp_b2"]
         np.testing.assert_allclose(
-            fuse_and_predict(h_s, h_t, params)["pred"], expected, atol=1e-9
+            predict_fused(h_s, h_t, params)["pred"], expected, atol=1e-9
         )
 
     @pytest.mark.parametrize("hidden", [128, 40])
@@ -458,13 +465,13 @@ class TestFuseAndPredict:
         params["ln_bias"] = rng.normal(size=4 + t_dim)
         params["mlp_b2"] = np.array(0.3)
         h_s = rng.normal(size=(3, 5, 4))
-        h_t = rng.normal(size=(3, 5, t_dim)) if t_dim else None
+        h_t = rng.normal(size=(3, 5, t_dim))
         upstream = rng.normal(size=(3, 5))
-        grads, d_h_s, d_h_t = fuse_and_predict_backward(
-            fuse_and_predict(h_s, h_t, params), upstream, params, t_dim)
+        grads, d_h_s, d_h_t = normalize_and_predict_backward(
+            predict_fused(h_s, h_t, params), upstream, params, t_dim)
 
         def loss():
-            out = fuse_and_predict(h_s, h_t, params)
+            out = predict_fused(h_s, h_t, params)
             return float((out["pred"] * upstream).sum()), out["z1_mask"].tobytes()
 
         assert set(grads) == set(params)
@@ -528,6 +535,33 @@ class TestModelForward:
             p_out, _ = model.forward(windows[:, perm, :], slot_ids, p_adj, p_params)
             np.testing.assert_array_equal(p_out, base[:, perm])
 
+    @pytest.mark.parametrize("use_temporal", [True, False])
+    @pytest.mark.parametrize("n", [2, 8, 51])
+    def test_head_equals_reference_over_concatenated_branches(self, n, use_temporal):
+        """`forward` builds [h_t || h_s] in one buffer: its predictions and
+        its trace's `xhat` equal, bit for bit, the reference LayerNorm and
+        MLP over the two branches' features computed apart and
+        concatenated."""
+        config = ModelConfig(n_sensors=n, use_temporal=use_temporal)
+        model, params, windows, slot_ids, adjacencies, _ = random_instance(
+            900 + n, config, batch=12, k=min(15, n - 1))
+        preds, trace = model.forward(windows, slot_ids, adjacencies, params)
+        attention = model.slot_attention(range(config.slots), adjacencies, params)
+        present = sorted(set(slot_ids.tolist()))
+        h_s = spatial_aggregate(
+            project_input(windows, params["proj_w"], params["proj_b"]),
+            [attention[slot]["order"] for slot in present], params["att_w"],
+            [np.flatnonzero(slot_ids == slot) for slot in present])["h_s"]
+        h_t = np.empty(h_s.shape[:-1] + (0,))
+        if use_temporal:
+            filters = [{c: params[f"conv{l}_k{c}"] for c in config.kernel_sizes}
+                       for l in range(config.tcn_layers)]
+            h_t = project_input(conv_stack(windows, filters, config.dilation)["t_flat"],
+                                params["tred_w"], params["tred_b"])
+        expected = layer_norm_mlp_reference(np.concatenate([h_t, h_s], -1), params)
+        np.testing.assert_array_equal(preds, expected["pred"])
+        np.testing.assert_array_equal(trace.batch["xhat"], expected["xhat"])
+
     def test_no_temporal_branch(self):
         config = tiny_model_config(use_temporal=False)
         model, params, windows, slot_ids, adjacencies, _ = random_instance(24, config)
@@ -588,7 +622,7 @@ def chunk_runs(model, pooled: bool, failing: str | None = None):
     caller = threading.get_ident()
     started = {"calling": threading.Event(), "other": threading.Event()}
     runs, lock = [], threading.Lock()
-    spatial = model._spatial
+    spatial = model._spatial_into_fused
 
     def recording(windows, *args):
         side = "calling" if threading.get_ident() == caller else "other"
@@ -601,7 +635,7 @@ def chunk_runs(model, pooled: bool, failing: str | None = None):
             raise RuntimeError(f"chunk failed on the {side} thread")
         return spatial(windows, *args)
 
-    model._spatial = recording
+    model._spatial_into_fused = recording
     return runs, caller
 
 
@@ -614,7 +648,7 @@ class TestPredictOverSeries:
     def oracle(model, starts, values, slot_ids, adjacencies, params):
         cfg = model.config
         out = np.empty((len(starts), cfg.n_sensors))
-        for lo, hi in predict_chunks(starts, cfg.n_sensors):
+        for lo, hi, _ in predict_chunks(starts, cfg.n_sensors, cfg.use_temporal):
             windows = series_windows(values, starts[lo:hi], cfg.window)
             out[lo:hi], _ = model.forward(windows, slot_ids[lo:hi], adjacencies, params)
         return out
@@ -640,10 +674,11 @@ class TestPredictOverSeries:
     def test_bits_equal_forward_on_its_chunks(self, n, stride):
         per_chunk = self.chunk_width(n, stride)
         model, params, adjacencies, starts, values, slot_ids = self.chunked_instance(n, stride)
-        chunks = list(predict_chunks(starts, n))
-        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        chunks = list(predict_chunks(starts, n, True))
+        assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
         assert chunks[-1][1] == len(starts)
-        assert [hi - lo for lo, hi in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+        assert [hi - lo for lo, hi, _ in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+        assert [fft for _, _, fft in chunks] == [stride == 1] * len(chunks)
         out = model.predict(starts, values, slot_ids, adjacencies, params)
         expected = self.oracle(model, starts, values, slot_ids, adjacencies, params)
         if stride == 1:
@@ -662,20 +697,32 @@ class TestPredictOverSeries:
         wide, narrow = windows_per_chunk(n), windows_per_batch(n)
         starts = np.concatenate([np.arange(wide + narrow // 2),
                                  wide + narrow // 2 + 3 * np.arange(3 * narrow)])
-        chunks = list(predict_chunks(starts, n))
-        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        chunks = list(predict_chunks(starts, n, True))
+        assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
         assert chunks[-1][1] == len(starts)
-        widths = [hi - lo for lo, hi in chunks]
-        consecutive = [bool((np.diff(starts[lo:hi]) == 1).all()) for lo, hi in chunks]
+        widths = [hi - lo for lo, hi, _ in chunks]
+        consecutive = [bool((np.diff(starts[lo:hi]) == 1).all()) for lo, hi, _ in chunks]
+        assert [fft for _, _, fft in chunks] == consecutive
         assert widths[0] == wide and consecutive[0]
         assert max(widths[1:]) <= narrow
         assert not all(consecutive)
+
+    @pytest.mark.parametrize("n", [8, 51])
+    def test_without_temporal_branch_every_chunk_is_a_micro_batch(self, n):
+        """Without the temporal branch, consecutive windows too run
+        `forward`, so their chunks hold at most a micro-batch's windows."""
+        starts = np.arange(3 * windows_per_chunk(n) + 5)
+        chunks = list(predict_chunks(starts, n, False))
+        assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
+        assert chunks[-1][1] == len(starts)
+        assert [hi - lo for lo, hi, _ in chunks[:-1]] == [windows_per_batch(n)] * (len(chunks) - 1)
+        assert not any(fft for _, _, fft in chunks)
 
     @pytest.mark.parametrize("n", [2, 8, 51])
     @pytest.mark.parametrize("stride", [1, 3, 35])
     def test_bits_equal_at_any_worker_count(self, n, stride):
         model, params, adjacencies, starts, values, slot_ids = self.chunked_instance(n, stride)
-        assert len(list(predict_chunks(starts, n))) >= 3
+        assert len(list(predict_chunks(starts, n, True))) >= 3
         one = model.predict(starts, values, slot_ids, adjacencies, params, workers=1)
         for workers in (2, 3):
             np.testing.assert_array_equal(
@@ -716,13 +763,13 @@ class TestPredictOverSeries:
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
             8, 8, n_windows, 1)
         values[0] = np.arange(values.shape[1])  # a window's first value is its start
-        chunks = list(predict_chunks(starts, 8))
+        chunks = list(predict_chunks(starts, 8, True))
         pooled = min(workers, len(chunks)) > 1
         runs, caller = chunk_runs(model, pooled)
         before = threading.active_count()
         model.predict(starts, values, slot_ids, adjacencies, params, workers=workers)
         assert threading.active_count() == before
-        assert sorted(chunk for _, chunk in runs) == [list(starts[lo:hi]) for lo, hi in chunks]
+        assert sorted(chunk for _, chunk in runs) == [list(starts[lo:hi]) for lo, hi, _ in chunks]
         threads = {thread for thread, _ in runs}
         assert caller in threads
         assert len(threads) == min(workers, len(chunks))
@@ -743,11 +790,11 @@ class TestPredictOverSeries:
         its first of 10; the pool thread then takes no further chunk."""
         model, params, adjacencies, starts, values, slot_ids = predict_instance(
             8, 8, 10 * windows_per_chunk(8), 1)
-        assert len(list(predict_chunks(starts, 8))) == 10
+        assert len(list(predict_chunks(starts, 8, True))) == 10
         caller = threading.get_ident()
         pool_started, raised = threading.Event(), threading.Event()
         runs = []
-        spatial = model._spatial
+        spatial = model._spatial_into_fused
 
         def recording(windows, *args):
             runs.append(threading.get_ident())
@@ -760,7 +807,7 @@ class TestPredictOverSeries:
             time.sleep(0.2)  # time for the calling thread to act on its failure
             return spatial(windows, *args)
 
-        model._spatial = recording
+        model._spatial_into_fused = recording
         with pytest.raises(RuntimeError, match="chunk failed"):
             model.predict(starts, values, slot_ids, adjacencies, params, workers=2)
         assert len(runs) == 2 and caller in runs
@@ -794,8 +841,8 @@ class TestPredictOverSeries:
         monkeypatch.setattr(model_module, "kernel_spectrum", recording)
         model.predict(starts, values, slot_ids, adjacencies, params)
         assert len(calls) == reduced
-        chunks = list(predict_chunks(starts, 8))
-        assert calls == [hi - lo for lo, hi in chunks][:reduced]
+        chunks = list(predict_chunks(starts, 8, True))
+        assert calls == [hi - lo for lo, hi, fft in chunks if fft]
         longest = min(n_windows, windows_per_chunk(8))
         assert sizes == ([fft_size(longest - 1 + 28)] if reduced else [])
 
@@ -867,13 +914,14 @@ class TestPeakMemory:
         assert peak <= 0.75 * features + out.nbytes
 
     @pytest.mark.parametrize("n", [8, 51])
-    @pytest.mark.parametrize("stride", [3, 35])
-    def test_strided_predict_holds_one_micro_batch_trace(self, n, stride):
-        """At one worker, windows that are not consecutive run `forward` on
-        at most a micro-batch's windows: the peak stays within 1.15 times
-        that of one `forward` on `windows_per_batch(n)` windows, plus the
-        output."""
-        config = ModelConfig(n_sensors=n)
+    @pytest.mark.parametrize("stride, use_temporal", [(3, True), (35, True), (1, False)],
+                             ids=["3", "35", "no-temporal"])
+    def test_strided_predict_holds_one_micro_batch_trace(self, n, stride, use_temporal):
+        """At one worker, windows that are not consecutive, and consecutive
+        ones without the temporal branch, run `forward` on at most a
+        micro-batch's windows: the peak stays within 1.15 times that of one
+        `forward` on `windows_per_batch(n)` windows, plus the output."""
+        config = ModelConfig(n_sensors=n, use_temporal=use_temporal)
         model = Model(config)
         rng = np.random.default_rng(n + stride)
         params = model.init_params(rng)
