@@ -6,6 +6,7 @@ temporal features, trained to predict the next reading of every sensor.
 Anomaly scores are robustly normalized forecast errors.
 """
 
+import ctypes
 import importlib
 import os
 
@@ -22,6 +23,34 @@ def _blas_pin() -> dict[str, str]:
     if any(var in os.environ for var in _BLAS_THREAD_VARS):
         return {}
     return dict.fromkeys(_BLAS_THREAD_VARS, "1")
+
+
+# mallopt parameters and values: M_MMAP_THRESHOLD 32 MiB and M_TRIM_THRESHOLD
+# 64 MiB, the most glibc's dynamic thresholds grow to on 64-bit
+_MALLOC_PINS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def pin_malloc_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds at the values its own dynamic
+    rule tops out at; returns whether it did. Without the pin, glibc
+    raises them only after a large block is freed, and until then it maps
+    and unmaps every predict chunk's arrays or trims the heap after each
+    chunk, a page fault per page touched. Skipped on another libc and
+    when the environment sets any MALLOC_* variable or GLIBC_TUNABLES.
+    The CLI's `main` and every `training.pool_map` worker call it."""
+    if "GLIBC_TUNABLES" in os.environ or any(var.startswith("MALLOC_") for var in os.environ):
+        return False
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no handle on the running process's libc
+        return False
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return [mallopt(param, value) for param, value in _MALLOC_PINS] == [1, 1]
+
 
 # exported name -> the submodule that defines it. The names resolve on
 # first access, so `import pgad` alone loads no numpy: `pgad.cli` can pin
@@ -59,7 +88,7 @@ _EXPORTS = {
     "train": "training",
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "pin_malloc_thresholds"])
 
 
 def __getattr__(name: str):

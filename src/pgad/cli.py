@@ -9,14 +9,13 @@ Importing this module pins BLAS and OpenMP to one thread per process
 unless the environment sets any of their thread counts: pgad spends its
 `threads` on predict threads or cell processes instead. It must
 therefore be imported before numpy is. `main` pins glibc's malloc
-thresholds (`pin_malloc_thresholds`).
+thresholds (`pgad.pin_malloc_thresholds`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import dataclasses
 import itertools
 import json
@@ -26,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import _blas_pin
+from . import _blas_pin, pin_malloc_thresholds
 
 # before numpy loads its BLAS
 os.environ.update(_blas_pin())
@@ -64,32 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-# mallopt parameters and values: M_MMAP_THRESHOLD 32 MiB and M_TRIM_THRESHOLD
-# 64 MiB, the most glibc's dynamic thresholds grow to on 64-bit
-_MALLOC_PINS = ((-3, 32 << 20), (-1, 64 << 20))
-
-
-def pin_malloc_thresholds() -> bool:
-    """Pin glibc's mmap and trim thresholds at the values its own dynamic
-    rule tops out at; returns whether it did. Without the pin, glibc
-    raises them only after a large block is freed, and until then it maps
-    and unmaps every predict chunk's arrays or trims the heap after each
-    chunk, a page fault per page touched. Skipped on another libc and
-    when the environment sets any MALLOC_* variable or GLIBC_TUNABLES."""
-    if "GLIBC_TUNABLES" in os.environ or any(var.startswith("MALLOC_") for var in os.environ):
-        return False
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):  # no handle on the running process's libc
-        return False
-    if not hasattr(libc, "gnu_get_libc_version"):
-        return False
-    mallopt = libc.mallopt
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    return [mallopt(param, value) for param, value in _MALLOC_PINS] == [1, 1]
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -357,7 +330,7 @@ def cmd_train(args, file_cfg) -> int:
     threads = _threads(args, file_cfg)
     try:
         if args.grid:
-            if args.grid_lrs:
+            if args.grid_lrs is not None:
                 try:
                     lrs = tuple(float(x) for x in args.grid_lrs.split(",") if x.strip())
                 except ValueError as exc:

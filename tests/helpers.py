@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
 
 from pgad.data import SeriesMatrix
-from pgad.model import Model, ModelConfig
+from pgad.model import Model, ModelConfig, predict_chunks, windows_per_chunk
 from pgad.scoring import evaluate
 from pgad.training import TrainState, build_adjacencies
 
@@ -237,6 +238,31 @@ def start_environ(name: str) -> str | None:
     prefix = name.encode() + b"="
     return next((entry[len(prefix):].decode() for entry in entries
                  if entry.startswith(prefix)), None)
+
+
+def has_glibc() -> bool:
+    return "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})
+
+
+def repeated_predict_faults(seed: int, workers: int = 1) -> tuple[int, int]:
+    """The chunk count of `predict` on `workers` threads over 10 chunks of
+    windows at N=8 (default model), and the minor page faults this process
+    takes for the second of two such calls."""
+    import resource  # Unix only
+
+    config = ModelConfig(n_sensors=8)
+    model = Model(config)
+    rng = np.random.default_rng(seed)
+    params = model.init_params(rng)
+    adjacencies = build_adjacencies(params, config.slots, 7)
+    starts = np.arange(10 * windows_per_chunk(8))
+    values = rng.normal(size=(8, starts[-1] + config.window))
+    slots = starts % config.slots
+    model.predict(starts, values, slots, adjacencies, params, workers=workers)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.predict(starts, values, slots, adjacencies, params, workers=workers)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return len(list(predict_chunks(starts, 8, True))), faults
 
 
 def gathered_temporal_reduction(feats, local, tred_w, tred_b) -> np.ndarray:

@@ -21,7 +21,7 @@ from pgad.scoring import score_series
 from pgad.training import MIN_VAL_WINDOWS, TrainConfig
 
 from conftest import TINY_SYNTH, TINY_TRAIN
-from helpers import score_files_loop, series_of, strip_digests
+from helpers import has_glibc, score_files_loop, series_of, strip_digests
 
 
 def read_csv_rows(path):
@@ -179,6 +179,19 @@ class TestTrain:
             "--loss-curve", str(tmp_path / "c.csv"),
         ])
         assert code == 1
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("rates", ["", ","], ids=["empty", "comma"])
+    def test_grid_lrs_naming_no_rate_exits_one(self, cli_workspace, tmp_path, capsys, rates):
+        code = cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN,
+            "--grid", "--grid-lrs", rates,
+            "--checkpoint", str(tmp_path / "m.npz"),
+            "--report", str(tmp_path / "r.json"),
+            "--loss-curve", str(tmp_path / "c.csv"),
+        ])
+        assert code == 1
+        assert "error: --grid-lrs must name at least one rate" in capsys.readouterr().err
         assert not (tmp_path / "m.npz").exists()
 
     @pytest.mark.parametrize("rates", ["abc", "0.005"])
@@ -795,38 +808,20 @@ class TestImportSideEffects:
         assert run_python(code).splitlines()[-1] == "False"
 
 
-def has_glibc() -> bool:
-    return "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})
-
-
 class TestMallocPin:
     @pytest.mark.skipif(not has_glibc(), reason="the pin is glibc's mallopt")
     def test_repeated_predict_takes_no_page_faults(self):
         """After `main`'s pin, a second predict over the same series reuses
         the heap pages the first one touched. Without it, glibc trims the
         heap after each chunk: about 500 minor faults per chunk at N=8."""
-        code = textwrap.dedent("""\
-            import resource
-            import numpy as np
+        code = textwrap.dedent(f"""\
+            import sys
             from pgad import cli
-            from pgad.model import Model, ModelConfig, predict_chunks, windows_per_chunk
-            from pgad.training import build_adjacencies
+            sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+            from helpers import repeated_predict_faults
             assert cli.main(["config", "show"]) == 0
-            config = ModelConfig(n_sensors=8)
-            model = Model(config)
-            rng = np.random.default_rng(0)
-            params = model.init_params(rng)
-            adjacencies = build_adjacencies(params, config.slots, 7)
-            starts = np.arange(10 * windows_per_chunk(8))
-            values = rng.normal(size=(8, starts[-1] + config.window))
-            slots = starts % config.slots
-            chunks = len(list(predict_chunks(starts, 8, True)))
             for workers in (1, 2):
-                model.predict(starts, values, slots, adjacencies, params, workers=workers)
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                model.predict(starts, values, slots, adjacencies, params, workers=workers)
-                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-                print(workers, chunks, faults)
+                print(workers, *repeated_predict_faults(0, workers))
         """)
         env = {k: v for k, v in os.environ.items()
                if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
@@ -843,14 +838,14 @@ class TestMallocPin:
     @pytest.mark.parametrize("var", ["MALLOC_ARENA_MAX", "MALLOC_TOP_PAD_", "GLIBC_TUNABLES"])
     def test_a_user_malloc_setting_skips_the_pin(self, monkeypatch, var):
         monkeypatch.setenv(var, "1")
-        assert cli.pin_malloc_thresholds() is False
+        assert pgad.pin_malloc_thresholds() is False
 
     @pytest.mark.skipif(not has_glibc(), reason="the pin is glibc's mallopt")
     def test_pins_on_glibc(self, monkeypatch):
         for var in list(os.environ):
             if var.startswith("MALLOC_") or var == "GLIBC_TUNABLES":
                 monkeypatch.delenv(var)
-        assert cli.pin_malloc_thresholds() is True
+        assert pgad.pin_malloc_thresholds() is True
 
 
 class TestConfigCommand:

@@ -37,9 +37,11 @@ from helpers import (
     analytic_gradients,
     assign_slot,
     grad_rel_err,
+    has_glibc,
     l2_loss,
     per_array_adam_step,
     random_instance,
+    repeated_predict_faults,
     start_environ,
     tiny_model_config,
     trace_grads,
@@ -292,6 +294,49 @@ class TestTrainLoop:
             assert len(result.report.epochs) - 1 < 20
         else:
             assert len(result.report.epochs) - 1 == 20
+
+    def test_early_stop_comes_patience_epochs_after_the_best(self):
+        config = dataclasses.replace(SMALL_CONFIG, epochs=20, patience=2, lr=0.05)
+        report = train(small_series(), config).report
+        assert report.stopped_early
+        assert len(report.epochs) - 1 == report.best_epoch + config.patience
+
+    def test_epoch_zero_train_loss_is_predict_error_at_init(self):
+        from pgad.data import SeriesMatrix, fit_normalizer, make_windows
+
+        series = small_series()
+        report = train(series, dataclasses.replace(SMALL_CONFIG, epochs=1, patience=1)).report
+        stats = fit_normalizer(series, SMALL_CONFIG.normalization)
+        normalized = SeriesMatrix(stats.apply(series.values), series.sensor_names)
+        batch = make_windows(normalized, SMALL_CONFIG.window)
+        n_fit = report.n_windows - report.n_val
+        starts = batch.window_start_indices[:n_fit]
+        model = Model(SMALL_CONFIG.model_config(series.n_sensors))
+        params = model.init_params(np.random.default_rng(SMALL_CONFIG.seed))
+        adjacencies = build_adjacencies(params, SMALL_CONFIG.slots, report.neighbors_effective)
+        preds = model.predict(starts, normalized.values,
+                              slot_ids_for_windows(starts, report.period, SMALL_CONFIG.slots),
+                              adjacencies, params)
+        diff = preds - batch.targets[:n_fit]
+        assert report.epochs[0]["train_loss"] == float(np.mean(diff * diff))
+
+    def test_divergence_report_holds_every_epoch_before_the_failing_one(self, monkeypatch):
+        """Validation predicts once per epoch after epoch 0's two calls, so
+        the fourth call is epoch 2's."""
+        calls = []
+        real = Model.predict
+
+        def failing_in_epoch_two(self, *args, **kwargs):
+            calls.append(None)
+            preds = real(self, *args, **kwargs)
+            return preds * np.nan if len(calls) == 4 else preds
+
+        monkeypatch.setattr(Model, "predict", failing_in_epoch_two)
+        with pytest.raises(DivergenceError, match="non-finite in epoch 2") as err:
+            train(small_series(), SMALL_CONFIG)
+        report = err.value.report
+        assert [row["epoch"] for row in report.epochs] == [0, 1]
+        assert report.wall_clock_seconds > 0
 
     def test_val_split_size_and_error_rows(self):
         result = train(small_series(), SMALL_CONFIG)
@@ -569,6 +614,18 @@ class TestPoolMap:
         seen = pool_map(start_environ, jobs, workers=2)
         assert seen == [expected[var] for var in jobs]
         assert dict(os.environ) == before
+
+    @pytest.mark.skipif(not has_glibc(), reason="the pin is glibc's mallopt")
+    def test_workers_pin_malloc_before_their_first_job(self, monkeypatch):
+        """A worker never runs the CLI's `main`, so it pins malloc itself:
+        without the pin, glibc trims the heap after each predict chunk,
+        about 500 minor faults per chunk at N=8."""
+        for var in list(os.environ):
+            if var.startswith("MALLOC_") or var == "GLIBC_TUNABLES":
+                monkeypatch.delenv(var)
+        for chunks, faults in pool_map(repeated_predict_faults, [0, 1], workers=2):
+            assert chunks == 10
+            assert faults < 50 * chunks
 
     def test_one_job_runs_in_this_process(self, pool_sizes):
         # a lambda cannot be pickled, so it could not run in a pool
