@@ -229,13 +229,6 @@ def _threads(args, file_cfg) -> int:
     return threads
 
 
-def _seeds(args) -> tuple[int, ...]:
-    seeds = _parse_int_list(args.seeds)
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    return seeds
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -337,10 +330,6 @@ def cmd_train(args, file_cfg) -> int:
                     raise ConfigError(f"bad --grid-lrs value {args.grid_lrs!r}") from exc
                 if not lrs:
                     raise ConfigError("--grid-lrs must name at least one rate")
-                if not all(0 < lr < math.inf for lr in lrs):
-                    raise ConfigError(
-                        f"--grid-lrs rates must be positive and finite, got {args.grid_lrs!r}"
-                    )
             else:
                 lrs = LR_GRID
             grid = grid_search(series, config, lrs, workers=threads)
@@ -421,14 +410,17 @@ def cmd_score(args, file_cfg) -> int:
     return 0
 
 
+def _experiment_setup(args, file_cfg) -> tuple:
+    """`ablate` and `sweep`'s train and test series, config, and the seeds,
+    workers and score settings their library call takes as keywords."""
+    return (ingest_csv(args.train_data), ingest_csv(args.test_data),
+            build_train_config(args, file_cfg),
+            dict(_score_settings(args, file_cfg), seeds=_parse_int_list(args.seeds),
+                 workers=_threads(args, file_cfg)))
+
+
 def cmd_ablate(args, file_cfg) -> int:
-    train_series = ingest_csv(args.train_data)
-    test_series = ingest_csv(args.test_data)
-    if test_series.labels is None:
-        raise ConfigError("ablation needs a labeled test CSV")
-    config = build_train_config(args, file_cfg)
-    settings = _score_settings(args, file_cfg)
-    threads = _threads(args, file_cfg)
+    train_series, test_series, config, options = _experiment_setup(args, file_cfg)
 
     stats = fit_normalizer(train_series, config.normalization)
     normalized = SeriesMatrix(stats.apply(train_series.values), train_series.sensor_names)
@@ -438,24 +430,19 @@ def cmd_ablate(args, file_cfg) -> int:
 
     skipped = {_FLAG_TO_VARIANT[s] for s in (args.skip or [])}
     variants = tuple(v for v in ABLATION_VARIANTS if v not in skipped)
-    table = ablation_f1s(
-        train_series, test_series, config,
-        seeds=_seeds(args), variants=variants, workers=threads, **settings,
-    )
+    table = ablation_f1s(train_series, test_series, config, variants=variants, **options)
 
     print(f"{'variant':<14}  {'F1':>8}")
     for variant in variants:
         print(f"{variant.replace('_', '-'):<14}  {table[variant]['mean_f1']:>8.4f}")
-    _write_json(args.out, {"seeds": list(_seeds(args)), "variants": table})
+    _write_json(args.out, {"seeds": list(options["seeds"]), "variants": table})
     print(f"\nreport written to {args.out}")
     return 0
 
 
 def cmd_sweep(args, file_cfg) -> int:
-    if args.sweep_neighbors is not None and args.sweep_filters is not None:
-        raise ConfigError("choose one sweep axis: --neighbors or --filters")
-    if args.sweep_neighbors is None and args.sweep_filters is None:
-        raise ConfigError("choose a sweep axis: --neighbors or --filters")
+    if (args.sweep_neighbors is None) == (args.sweep_filters is None):
+        raise ConfigError("choose exactly one sweep axis: --neighbors or --filters")
     if args.sweep_neighbors is not None:
         axis = "neighbors"
         values = NEIGHBOR_SWEEP_DEFAULT if args.sweep_neighbors == "" \
@@ -465,21 +452,12 @@ def cmd_sweep(args, file_cfg) -> int:
         values = FILTER_SWEEP_DEFAULT if args.sweep_filters == "" \
             else _parse_int_list(args.sweep_filters)
 
-    train_series = ingest_csv(args.train_data)
-    test_series = ingest_csv(args.test_data)
-    if test_series.labels is None:
-        raise ConfigError("sweep needs a labeled test CSV")
-    config = build_train_config(args, file_cfg)
-    settings = _score_settings(args, file_cfg)
-    seeds = _seeds(args)
-    threads = _threads(args, file_cfg)
-
-    rows = sweep_f1s(train_series, test_series, config, axis, values,
-                     seeds=seeds, workers=threads, **settings)
+    train_series, test_series, config, options = _experiment_setup(args, file_cfg)
+    rows = sweep_f1s(train_series, test_series, config, axis, values, **options)
 
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([axis, "f1_mean"] + [f"f1_seed{s}" for s in seeds])
+        writer.writerow([axis, "f1_mean"] + [f"f1_seed{s}" for s in options["seeds"]])
         for row in rows:
             writer.writerow([row["value"], _fmt(row["mean_f1"])]
                             + [_fmt(cell["f1"]) for cell in row["per_seed"]])

@@ -4,6 +4,10 @@ Each cell trains from scratch on the clean series and scores the labeled
 continuation; results are F1 values averaged over seeds. Cells are
 independent, so they can optionally run in a process pool without
 changing any result.
+
+`ablation_f1s` and `sweep_f1s` raise `ConfigError` before any cell trains
+for an empty `seeds`, an unlabeled test series, an unknown variant or
+axis, an empty sweep, or a variant or swept value whose config is invalid.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from .checkpoint import checkpoint_from_result
 from .data import SeriesMatrix
 from .errors import ConfigError
 from .scoring import score_series
-from .training import TrainConfig, pool_map, train
+from .training import TrainConfig, pool_map, train, validate_cells
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +49,11 @@ def axis_config(base: TrainConfig, axis: str, value: int) -> TrainConfig:
     raise ConfigError(f"unknown sweep axis {axis!r}")
 
 
+def _require_labels(test_series: SeriesMatrix) -> None:
+    if test_series.labels is None:
+        raise ConfigError("experiment scoring needs labeled test data")
+
+
 def train_and_score(
     train_series: SeriesMatrix,
     test_series: SeriesMatrix,
@@ -56,6 +65,7 @@ def train_and_score(
     point_adjust: bool = False,
 ) -> dict:
     """One full pipeline run; returns the detection metrics as a dict."""
+    _require_labels(test_series)
     result = train(train_series, config)
     ckpt = checkpoint_from_result(result, train_series.sensor_names)
     _, metrics = score_series(
@@ -63,8 +73,6 @@ def train_and_score(
         ma_window=ma_window, threshold_mode=threshold_mode,
         fixed_value=fixed_value, point_adjust=point_adjust,
     )
-    if metrics is None:
-        raise ConfigError("experiment scoring needs labeled test data")
     return {
         "f1": metrics.f1,
         "precision": metrics.precision,
@@ -81,17 +89,22 @@ def _run_cell(args):
     return train_and_score(train_series, test_series, config, **score_kwargs)
 
 
-def _mean_f1s(train_series, test_series, configs, seeds, workers, score_kwargs):
-    """(mean F1 over seeds, per-seed cells) for each config, in order."""
+def _mean_f1s(train_series, test_series, cells, seeds, workers, score_kwargs):
+    """(mean F1 over seeds, per-seed cells) for each (label, config) of
+    `cells`, in order; all of them are checked before any cell trains."""
+    if not seeds:
+        raise ConfigError("experiments need at least one seed")
+    _require_labels(test_series)
+    validate_cells(cells)
     jobs = [
         (train_series, test_series, dataclasses.replace(config, seed=seed), score_kwargs)
-        for config in configs
+        for _, config in cells
         for seed in seeds
     ]
-    cells = pool_map(_run_cell, jobs, workers)
+    results = pool_map(_run_cell, jobs, workers)
     out = []
-    for i in range(0, len(cells), len(seeds)):
-        per_seed = cells[i : i + len(seeds)]
+    for i in range(0, len(results), len(seeds)):
+        per_seed = results[i : i + len(seeds)]
         out.append((sum(c["f1"] for c in per_seed) / len(per_seed), per_seed))
     return out
 
@@ -107,10 +120,11 @@ def ablation_f1s(
     **score_kwargs,
 ) -> dict[str, dict]:
     """F1 per ablation variant, averaged over seeds."""
-    configs = [variant_config(base_config, variant) for variant in variants]
+    cells = [(f"ablation {variant}", variant_config(base_config, variant))
+             for variant in variants]
     table: dict[str, dict] = {}
     for variant, (mean_f1, per_seed) in zip(
-        variants, _mean_f1s(train_series, test_series, configs, seeds, workers, score_kwargs)
+        variants, _mean_f1s(train_series, test_series, cells, seeds, workers, score_kwargs)
     ):
         table[variant] = {"mean_f1": mean_f1, "per_seed": per_seed}
         log.info("ablation %s: mean F1 %.4f", variant, mean_f1)
@@ -128,19 +142,14 @@ def sweep_f1s(
     workers: int = 1,
     **score_kwargs,
 ) -> list[dict]:
-    """F1 per swept value, averaged over seeds; rows keep sweep order.
-    Every swept config is validated before any cell starts."""
+    """F1 per swept value, averaged over seeds; rows keep sweep order."""
     if not values:
         raise ConfigError("sweep needs at least one value")
-    configs = [axis_config(base_config, axis, value) for value in values]
-    for value, config in zip(values, configs):
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise ConfigError(f"sweep {axis}={value}: {exc}") from exc
+    cells = [(f"sweep {axis}={value}", axis_config(base_config, axis, value))
+             for value in values]
     rows = []
     for value, (mean_f1, per_seed) in zip(
-        values, _mean_f1s(train_series, test_series, configs, seeds, workers, score_kwargs)
+        values, _mean_f1s(train_series, test_series, cells, seeds, workers, score_kwargs)
     ):
         rows.append({"value": int(value), "mean_f1": mean_f1, "per_seed": per_seed})
         log.info("sweep %s=%d: mean F1 %.4f", axis, value, mean_f1)

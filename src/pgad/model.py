@@ -44,6 +44,7 @@ the thread count, so neither does any output bit.
 
 from __future__ import annotations
 
+import math
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -589,7 +590,9 @@ class Model:
         return shapes
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        cfg = self.config
+        """Biases start at 0 and the LayerNorm gain at 1. Every other array
+        is drawn from U(-b, b) in `param_shapes` order, with b = 1/sqrt(fan-in):
+        the product of all axes but the first, or a vector's own length."""
         params: dict[str, np.ndarray] = {}
         for name, shape in self.param_shapes().items():
             if name in ("proj_b", "tred_b", "ln_bias", "mlp_b1", "mlp_b2"):
@@ -597,21 +600,7 @@ class Model:
             elif name == "ln_gain":
                 params[name] = np.ones(shape)
             else:
-                if name == "proj_w":
-                    fan_in = cfg.window
-                elif name.startswith("emb_") or name == "att_w":
-                    fan_in = cfg.embed_dim
-                elif name == "att_a":
-                    fan_in = 2 * cfg.spatial_dim
-                elif name.startswith("conv"):
-                    fan_in = shape[1] * shape[2]
-                elif name == "tred_w":
-                    fan_in = cfg.temporal_flat_dim()
-                elif name == "mlp_w1":
-                    fan_in = cfg.fused_dim()
-                else:  # mlp_w2
-                    fan_in = cfg.hidden_dim
-                bound = 1.0 / np.sqrt(fan_in)
+                bound = 1.0 / np.sqrt(math.prod(shape[1:] or shape))
                 params[name] = rng.uniform(-bound, bound, shape)
         return params
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import _blas_pin, pin_malloc_thresholds
 from .checkpoint import param_checksum
 from .data import NORMALIZATION_MODES, SeriesMatrix, fit_normalizer, make_windows
-from .errors import DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .graph import cosine_similarity, topk_adjacency
 from .model import Model, ModelConfig, present_slots, windows_per_batch
 from .period import PeriodProfile, detect_period
@@ -83,7 +83,7 @@ class TrainConfig:
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.epochs > 0 and self.patience > self.epochs:
-            raise ValueError("patience must not exceed epochs")
+            raise ValueError(f"patience {self.patience} must not exceed epochs {self.epochs}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0 < self.lr < math.inf:  # NaN fails the comparison too
@@ -404,6 +404,16 @@ def pool_map(fn, jobs: list, workers: int) -> list:
     return [fn(job) for job in jobs]
 
 
+def validate_cells(cells) -> None:
+    """`validate` each (label, config) of `cells` before any cell trains; an
+    invalid one raises a ConfigError that starts with its label."""
+    for label, config in cells:
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from exc
+
+
 @dataclass
 class GridResult:
     entries: list[dict]
@@ -429,10 +439,13 @@ def grid_search(
     """Train once per learning rate; keep the best validation loss.
 
     Ties prefer the smaller learning rate. Diverged cells are recorded
-    and skipped; if every cell diverges the search itself fails.
+    and skipped; if every cell diverges the search itself fails. Before
+    any cell trains, an empty grid raises ValueError, and a rate that is
+    not positive and finite raises a ConfigError that names it.
     """
     if not lrs:
         raise ValueError("learning-rate grid is empty")
+    validate_cells(("learning-rate grid", dataclasses.replace(config, lr=lr)) for lr in lrs)
     cells = pool_map(_grid_cell, [(series, config, lr) for lr in lrs], workers)
 
     entries = []

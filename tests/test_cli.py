@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pgad
-from pgad import cli
+from pgad import cli, experiments
 from pgad.checkpoint import load_checkpoint
 from pgad.data import ingest_csv, write_csv
 from pgad.errors import ConfigError
@@ -271,6 +271,13 @@ class TestTrain:
             "--epochs", "2", "--patience", "5",
         ])
         assert code == 1
+
+    def test_default_patience_above_epochs_names_both(self, cli_workspace, capsys):
+        """`--epochs 2` alone meets the default patience 10: the error names
+        both values."""
+        code = cli.main(["train", str(cli_workspace / "train.csv"), "--epochs", "2"])
+        assert code == 1
+        assert "error: patience 10 must not exceed epochs 2" in capsys.readouterr().err
 
     def test_missing_data_exits_two(self, tmp_path):
         assert cli.main(["train", str(tmp_path / "none.csv")]) == 2
@@ -658,6 +665,22 @@ class TestAblateCommand:
             "--out", str(tmp_path / "a.json"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("command, axis", [("ablate", []), ("sweep", ["--neighbors", "1"])],
+                             ids=["ablate", "sweep"])
+    def test_empty_seeds_exits_one_before_any_cell(self, cli_workspace, tmp_path, capsys,
+                                                   monkeypatch, command, axis):
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args: trained.append(args))
+        code = cli.main([
+            command, str(cli_workspace / "train.csv"), str(cli_workspace / "test.csv"),
+            *without_flag(TINY_TRAIN, "--neighbors"), *axis, "--seeds", ",",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "error: experiments need at least one seed" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "out").exists()
 
     def test_aperiodic_fallback_warns(self, tmp_path, caplog):
         rng = np.random.default_rng(0)

@@ -100,6 +100,27 @@ class TestCells:
             sweep_f1s(*tiny_splits, TINY, axis, values)
         assert trained == []
 
+    @pytest.mark.parametrize("run", [
+        ablation_f1s,
+        lambda *args, **kwargs: sweep_f1s(*args, "neighbors", (1, 2), **kwargs),
+    ], ids=["ablation", "sweep"])
+    @pytest.mark.parametrize("seeds, labeled, message", [
+        ((), True, "experiments need at least one seed"),
+        ((0,), False, "experiment scoring needs labeled test data"),
+    ], ids=["no-seeds", "unlabeled"])
+    def test_bad_cells_rejected_before_any_cell(self, tiny_splits, monkeypatch, run,
+                                                seeds, labeled, message):
+        """Empty seeds and an unlabeled test series are ConfigErrors raised
+        before any cell trains."""
+        train_series, test_series = tiny_splits
+        if not labeled:
+            test_series = SeriesMatrix(test_series.values, test_series.sensor_names)
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match=message):
+            run(train_series, test_series, TINY, seeds=seeds, threshold_mode="best_f1")
+        assert trained == []
+
     def test_process_pool_matches_serial(self, tiny_splits):
         serial, pooled = (
             grid_search(tiny_splits[0], TINY, lrs=(0.005, 0.0025), workers=w) for w in (1, 2)

@@ -578,6 +578,34 @@ class TestModelForward:
         for name, shape in shapes.items():
             assert params[name].shape == tuple(shape)
 
+    @pytest.mark.parametrize("overrides, fan_ins", [
+        # dilations 2 and 4 with the largest kernel 5 leave 40 - 8 - 16 = 16
+        # conv steps of 3 * 8 channels; the second layer reads all 24
+        (dict(n_sensors=8, window=40, tcn_layers=2, dilation=2),
+         {"proj_w": 40, "emb_0": 64, "emb_1": 64, "emb_2": 64, "emb_3": 64,
+          "att_w": 64, "att_a": 128, "conv0_k2": 2, "conv0_k3": 3, "conv0_k5": 5,
+          "conv1_k2": 48, "conv1_k3": 72, "conv1_k5": 120, "tred_w": 24 * 16,
+          "mlp_w1": 64 + 32, "mlp_w2": 128}),
+        (dict(n_sensors=3, slots=1, use_temporal=False),
+         {"proj_w": 64, "emb_0": 64, "att_w": 64, "att_a": 128, "mlp_w1": 64,
+          "mlp_w2": 128}),
+    ], ids=["two-conv-layers", "no-temporal"])
+    def test_init_bounds_follow_fan_in(self, overrides, fan_ins):
+        """Each weight is drawn in `param_shapes` order from U(-b, b) with
+        b = 1/sqrt(fan-in); biases start at 0 and the LayerNorm gain at 1."""
+        model = Model(ModelConfig(**overrides))
+        params = model.init_params(np.random.default_rng(3))
+        shapes = model.param_shapes()
+        assert set(fan_ins) <= set(shapes)
+        rng = np.random.default_rng(3)
+        for name, shape in shapes.items():
+            if name in fan_ins:
+                bound = 1.0 / np.sqrt(fan_ins[name])
+                expected = rng.uniform(-bound, bound, shape)
+            else:
+                expected = np.full(shape, 1.0 if name == "ln_gain" else 0.0)
+            np.testing.assert_array_equal(params[name], expected, err_msg=name)
+
 
 PREDICT_SLOTS = 3
 

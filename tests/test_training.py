@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgad import _BLAS_THREAD_VARS
+from pgad import _BLAS_THREAD_VARS, training
 from pgad.data import generate_synthetic
-from pgad.errors import DataError, DivergenceError
+from pgad.errors import ConfigError, DataError, DivergenceError
 from pgad import model as model_module
 from pgad.model import (
     BATCH_ROWS,
@@ -573,6 +573,19 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_search(small_series(), SMALL_CONFIG, lrs=())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_rate_rejected_before_any_cell(self, monkeypatch, workers):
+        """A rate that is not positive and finite is a ConfigError naming
+        it, raised before any cell trains, the valid rate before it
+        included."""
+        trained, pooled = [], []
+        monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+        monkeypatch.setattr(training, "pool_map", lambda *args: pooled.append(args) or [])
+        message = r"^learning-rate grid: lr must be positive and finite, got -1\.0$"
+        with pytest.raises(ConfigError, match=message):
+            grid_search(small_series(), SMALL_CONFIG, lrs=(0.01, -1.0), workers=workers)
+        assert trained == [] and pooled == []
 
 
 class TestPoolMap:
