@@ -3,24 +3,25 @@
     python3 bench/identical.py PARENT --seeds 7,13
 
 PARENT is any git revision. Its committed files are exported with
-`pairs.export_revision` into `.bench_build/` (deleted at exit); the other
-side is the working tree this script lives in. For every workload that
-`perfbench/run.py` defines, and for ref8 trained with `--stride 3` (whose
-validation windows are not consecutive, so `predict` runs `forward` on
-them), and every seed, each tree runs the benchmark's own steps once,
-with BLAS pinned to one thread: `synth`, then `train` (on the training
-tail for a score-only workload) and `score`. The outputs are
-then compared: every checkpoint array, the checkpoint meta without the
-wall-clock fields (`wall_clock_seconds` and each epoch's `seconds`), the
-loss curve, the scores CSV and the metrics JSON. Prints one verdict per
-workload and seed: "identical", or "DIFFERENT" and then one line per
-difference. A checkpoint lists every meta field that differs and every
-array that differs (each parameter by name, and `val_errors`) with its
-max |Δ| and each side's best epoch. A text output names its first
-differing line; for the scores CSV the line also says how far the scores
-moved: max |Δscore|, max |Δsmoothed|, the number of `label_pred` values
-that differ, and F1 and the flagged count on each side. Runs every
-workload and seed, then exits 1 if any differed.
+`pairs.export_revision` into `.bench_build/` (deleted at exit); the
+other side is the working tree this script lives in. For every workload
+that `perfbench/run.py` defines, and for ref8 trained with `--stride 3`
+(whose validation windows are not consecutive, so `predict` runs
+`forward` on them), and every seed, each tree runs the benchmark's own
+steps once, with BLAS pinned to one thread: `synth`, then `train` (on
+the training tail for a score-only workload) and `score`. The outputs
+are then compared: the synth CSVs (`train.csv` and `test.csv`), every
+checkpoint array, the checkpoint meta without the wall-clock fields
+(`wall_clock_seconds` and each epoch's `seconds`), the loss curve, the
+scores CSV and the metrics JSON. Prints one verdict per workload and
+seed: "identical", or "DIFFERENT" and then one line per difference. A
+checkpoint lists every meta field that differs and every array that
+differs (each parameter by name, and `val_errors`) with its max |Δ| and
+each side's best epoch. A text output names its first differing line, or
+its line endings; for the scores CSV the line also says how far the
+scores moved: max |Δscore|, max |Δsmoothed|, the number of `label_pred`
+values that differ, and F1 and the flagged count on each side. Runs
+every workload and seed, then exits 1 if any differed.
 """
 
 from __future__ import annotations
@@ -56,16 +57,17 @@ def run_steps(root: Path, work: Path, workload, seed: int) -> dict[str, Path]:
     work.mkdir(parents=True)
     bench = perfbench.Bench(root, work, workload, seed)
     bench.setup(0)
-    trained = work / "setup0"
+    synth = trained = work / "setup0"
     out = work / "out"
     out.mkdir()
     if not workload.train_tail:
         trained = out
-        bench.train("train", work / "setup0" / "train.csv", out)
+        bench.train("train", synth / "train.csv", out)
     bench.score("score", trained / "model.npz", out)
     if bench.failures:
         raise RuntimeError(f"benchmark steps failed in {root}: {bench.failures[0]}")
-    return {"checkpoint": trained / "model.npz", "loss curve": trained / "curve.csv",
+    return {"train.csv": synth / "train.csv", "test.csv": synth / "test.csv",
+            "checkpoint": trained / "model.npz", "loss curve": trained / "curve.csv",
             "scores.csv": out / "scores.csv", "metrics.json": out / "metrics.json"}
 
 
@@ -108,6 +110,8 @@ def text_difference(parent: Path, change: Path) -> str | None:
     for i, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
         if line_a != line_b:
             return f"line {i}"
+    if len(lines_a) == len(lines_b):
+        return "line endings"
     return f"length ({len(lines_a)} vs {len(lines_b)} lines)"
 
 

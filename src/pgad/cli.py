@@ -50,10 +50,10 @@ from .experiments import (
     sweep_f1s,
     variant_config,
 )
-from .graph import cosine_similarity
+from .graph import build_adjacencies, cosine_similarity
 from .period import bin_period, detect_period
 from .scoring import score_series
-from .training import LR_GRID, TrainConfig, build_adjacencies, grid_search, train
+from .training import LR_GRID, TrainConfig, grid_search, train
 
 log = logging.getLogger(__name__)
 

@@ -195,19 +195,16 @@ def ingest_csv(path) -> SeriesMatrix:
 
 def write_csv(series: SeriesMatrix, path) -> None:
     """Write a series in the same CSV format `ingest_csv` reads."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    header = list(series.sensor_names)
+    rows = (",".join(map(repr, row)) for row in series.values.T.tolist())
+    if series.labels is not None:
+        header.append(LABEL_COLUMN)
+        rows = (f"{row},{label}" for row, label in zip(rows, series.labels.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(series.sensor_names)
-        if series.labels is not None:
-            header.append(LABEL_COLUMN)
-        writer.writerow(header)
-        for t in range(series.length):
-            row = [repr(float(v)) for v in series.values[:, t]]
-            if series.labels is not None:
-                row.append(str(int(series.labels[t])))
-            writer.writerow(row)
+        # csv quotes the names; a float's repr needs none, and "\r\n" is csv's line end
+        csv.writer(fh).writerow(header)
+        fh.writelines(row + "\r\n" for row in rows)
 
 
 NORMALIZATION_MODES = ("minmax", "zscore")

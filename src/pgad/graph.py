@@ -1,15 +1,18 @@
 """Per-phase-slot TopK similarity graphs over learnable sensor embeddings.
 
-One detected period is partitioned into `n_slots` equal phase bins; each
-bin owns an independent N x d embedding matrix from which a directed
-TopK cosine-similarity graph is built. Adjacency entry A[j, i] = 1 means
-j is a selected in-neighbor of i; the diagonal stays zero because the
-attention layer handles the self term explicitly.
+One detected period is partitioned into `n_slots` equal phase bins
+(`slot_ids_for_windows`); each bin owns an independent N x d embedding
+matrix from which `build_adjacencies` builds a directed TopK
+cosine-similarity graph. Adjacency entry A[j, i] = 1 means j is a selected
+in-neighbor of i; the diagonal stays zero because the attention layer
+handles the self term explicitly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DivergenceError
 
 
 def cosine_similarity(embedding: np.ndarray) -> np.ndarray:
@@ -34,16 +37,34 @@ def topk_adjacency(similarity: np.ndarray, k: int) -> np.ndarray:
     Ties break toward the lower node index; the edge set at budget k is a
     prefix of the edge set at budget k + 1.
     """
-    similarity = np.asarray(similarity)
-    n = similarity.shape[0]
-    if similarity.shape != (n, n):
+    ranked = -np.asarray(similarity, dtype=np.float64)
+    n = ranked.shape[0]
+    if ranked.shape != (n, n):
         raise ValueError("similarity matrix must be square")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    # one stable sort ranks every column at once; +inf keeps a node off its own list
+    np.fill_diagonal(ranked, np.inf)
+    sources = np.argsort(ranked, axis=0, kind="stable")[:k]
     adjacency = np.zeros((n, n))
-    for i in range(n):
-        col = similarity[:, i].copy()
-        col[i] = -np.inf
-        order = np.argsort(-col, kind="stable")
-        adjacency[order[:k], i] = 1.0
+    adjacency[sources, np.arange(n)] = 1.0
     return adjacency
+
+
+def build_adjacencies(params: dict[str, np.ndarray], n_slots: int, k: int) -> list[np.ndarray]:
+    """TopK graph per phase slot from the current embeddings."""
+    adjacencies = []
+    for s in range(n_slots):
+        try:
+            sim = cosine_similarity(params[f"emb_{s}"])
+        except ValueError as exc:
+            raise DivergenceError(f"slot {s} embeddings degenerated: {exc}") from exc
+        adjacencies.append(topk_adjacency(sim, k))
+    return adjacencies
+
+
+def slot_ids_for_windows(starts: np.ndarray, period: int, n_slots: int) -> np.ndarray:
+    """Phase slot of each window; `starts` are absolute timestamps."""
+    if period < 1 or n_slots < 1:
+        raise ValueError("period and n_slots must be positive")
+    return ((starts % period) * n_slots) // period

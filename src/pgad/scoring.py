@@ -18,10 +18,13 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import SeriesMatrix, make_windows
 from .errors import ConfigError, DataError
+from .graph import build_adjacencies, slot_ids_for_windows
 from .model import Model
-from .training import MIN_VAL_WINDOWS, build_adjacencies, slot_ids_for_windows
 
 IQR_EPS = 1e-6
+
+# the fewest validation windows that calibrate; `training.train` keeps at least this many
+MIN_VAL_WINDOWS = 4
 
 THRESHOLD_MODES = ("max_validation", "fixed", "best_f1")
 

@@ -1,15 +1,15 @@
 """Training loop: Adam, early stopping, per-epoch graph rebuilds.
 
 Each epoch starts by rebuilding every phase slot's TopK neighbor graph
-from the current node embeddings; the adjacency then stays fixed for the
-epoch while windows are visited in a seeded shuffle. Epoch 0 is the
-loop's first pass and evaluates only: it takes no step, and its train
-loss is `predict`'s error over the fit windows at the initial
-parameters. Every epoch, epoch 0 included, then takes the validation
-loss, reports one row and updates the best epoch. Validation is the
-chronological tail of the window set. The best-validation parameters are
-kept and restored at the end, and their absolute validation errors are
-returned for later score calibration.
+from the current node embeddings (`graph.build_adjacencies`); the
+adjacency then stays fixed for the epoch while windows are visited in a
+seeded shuffle. Epoch 0 is the loop's first pass and evaluates only: it
+takes no step, and its train loss is `predict`'s error over the fit
+windows at the initial parameters. Every epoch, epoch 0 included, then
+takes the validation loss, reports one row and updates the best epoch.
+Validation is the chronological tail of the window set. The
+best-validation parameters are kept and restored at the end, and their
+absolute validation errors are returned for later score calibration.
 
 Each batch runs as micro-batches of at most `model.windows_per_batch(N)`
 windows, half a predict chunk's rows, one after another, so a step's
@@ -36,17 +36,14 @@ from . import _blas_pin, pin_malloc_thresholds
 from .checkpoint import param_checksum
 from .data import NORMALIZATION_MODES, SeriesMatrix, fit_normalizer, make_windows
 from .errors import ConfigError, DataError, DivergenceError
-from .graph import cosine_similarity, topk_adjacency
+from .graph import build_adjacencies, slot_ids_for_windows
 from .model import Model, ModelConfig, present_slots, windows_per_batch
 from .period import PeriodProfile, detect_period
+from .scoring import MIN_VAL_WINDOWS
 
 log = logging.getLogger(__name__)
 
 LR_GRID = (0.01, 0.005, 0.0025, 0.00125)
-
-# The validation split keeps at least this many windows, the fewest whose
-# errors can calibrate anomaly scores (`scoring.ScoreCalibration`).
-MIN_VAL_WINDOWS = 4
 
 
 @dataclass(frozen=True)
@@ -228,25 +225,6 @@ class TrainResult:
     train_length: int
     neighbors_effective: int
     report: TrainReport
-
-
-def build_adjacencies(params: dict[str, np.ndarray], n_slots: int, k: int) -> list[np.ndarray]:
-    """TopK graph per phase slot from the current embeddings."""
-    adjacencies = []
-    for s in range(n_slots):
-        try:
-            sim = cosine_similarity(params[f"emb_{s}"])
-        except ValueError as exc:
-            raise DivergenceError(f"slot {s} embeddings degenerated: {exc}") from exc
-        adjacencies.append(topk_adjacency(sim, k))
-    return adjacencies
-
-
-def slot_ids_for_windows(starts: np.ndarray, period: int, n_slots: int) -> np.ndarray:
-    """Phase slot of each window; `starts` are absolute timestamps."""
-    if period < 1 or n_slots < 1:
-        raise ValueError("period and n_slots must be positive")
-    return ((starts % period) * n_slots) // period
 
 
 def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:

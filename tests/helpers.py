@@ -15,10 +15,11 @@ import tracemalloc
 
 import numpy as np
 
-from pgad.data import SeriesMatrix
+from pgad.data import LABEL_COLUMN, SeriesMatrix
+from pgad.graph import build_adjacencies
 from pgad.model import Model, ModelConfig, predict_chunks, windows_per_chunk
 from pgad.scoring import evaluate
-from pgad.training import TrainState, build_adjacencies
+from pgad.training import TrainState
 
 
 def l2_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -118,6 +119,36 @@ def dense_ordered_mix(alpha, features) -> np.ndarray:
     feat_t = np.swapaxes(features, -1, -2)
     terms = alpha[:, None, :] * feat_t[..., None, :, :]
     return np.sort(terms, axis=-1).sum(axis=-1)
+
+
+def topk_adjacency_loop(similarity, k: int) -> np.ndarray:
+    """TopK per target column, one stable argsort per column: the
+    reference for `graph.topk_adjacency`'s single sort."""
+    similarity = np.asarray(similarity)
+    n = similarity.shape[0]
+    adjacency = np.zeros((n, n))
+    for i in range(n):
+        col = similarity[:, i].copy()
+        col[i] = -np.inf
+        order = np.argsort(-col, kind="stable")
+        adjacency[order[:k], i] = 1.0
+    return adjacency
+
+
+def write_csv_rows(series, path) -> None:
+    """A series as CSV, every row through `csv.writer`: the reference for
+    `data.write_csv`'s bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = list(series.sensor_names)
+        if series.labels is not None:
+            header.append(LABEL_COLUMN)
+        writer.writerow(header)
+        for t in range(series.length):
+            row = [repr(float(v)) for v in series.values[:, t]]
+            if series.labels is not None:
+                row.append(str(int(series.labels[t])))
+            writer.writerow(row)
 
 
 def assign_slot(window_start: int, period: int, n_slots: int) -> int:

@@ -15,7 +15,7 @@ from pgad import cli
 from pgad.checkpoint import checkpoint_from_result
 from pgad.data import generate_synthetic
 from pgad.experiments import ablation_f1s, sweep_f1s
-from pgad.graph import cosine_similarity, topk_adjacency
+from pgad.graph import cosine_similarity, slot_ids_for_windows, topk_adjacency
 from pgad.model import attention_coefficients
 from pgad.period import detect_period
 from pgad.scoring import (
@@ -26,7 +26,7 @@ from pgad.scoring import (
     point_adjust_predictions,
     score_series,
 )
-from pgad.training import TrainConfig, slot_ids_for_windows, train
+from pgad.training import TrainConfig, train
 
 from helpers import (
     brute_spectrum,

@@ -17,8 +17,8 @@ from pgad import cli, experiments
 from pgad.checkpoint import load_checkpoint
 from pgad.data import ingest_csv, write_csv
 from pgad.errors import ConfigError
-from pgad.scoring import score_series
-from pgad.training import MIN_VAL_WINDOWS, TrainConfig
+from pgad.scoring import MIN_VAL_WINDOWS, score_series
+from pgad.training import TrainConfig
 
 from conftest import TINY_SYNTH, TINY_TRAIN
 from helpers import has_glibc, score_files_loop, series_of, strip_digests

@@ -15,7 +15,7 @@ from pgad.data import (
 )
 from pgad.errors import DataError
 
-from helpers import series_of
+from helpers import series_of, write_csv_rows
 
 
 class TestCsvRoundTrip:
@@ -36,6 +36,17 @@ class TestCsvRoundTrip:
         write_csv(series, path)
         back = ingest_csv(path)
         np.testing.assert_array_equal(back.labels, labels)
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_bytes_equal_csv_module_writer(self, tmp_path, labeled):
+        """Quoted names, signed zero, the smallest subnormal, a float that
+        reprs in exponent form, and both labels, byte for byte."""
+        values = np.array([[-0.0, 5e-324, 1e16, 0.1], [1.5, -2.25e-7, 0.0, -1e16]])
+        labels = [0, 1, 1, 0] if labeled else None
+        series = series_of(values, names=['a,b', 'say "hi"'], labels=labels)
+        write_csv(series, tmp_path / "fast.csv")
+        write_csv_rows(series, tmp_path / "rows.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):

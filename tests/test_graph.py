@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from pgad.graph import cosine_similarity, topk_adjacency
+from pgad.graph import build_adjacencies, cosine_similarity, slot_ids_for_windows, topk_adjacency
 from pgad.model import Model
-from pgad.training import build_adjacencies, slot_ids_for_windows
 
-from helpers import tiny_model_config
+from helpers import tiny_model_config, topk_adjacency_loop
 
 
 class TestCosineSimilarity:
@@ -85,6 +84,17 @@ class TestTopkAdjacency:
             scaled_sim = cosine_similarity(m * scale[:, None])
             np.testing.assert_allclose(scaled_sim, sim, atol=1e-9)
             np.testing.assert_array_equal(topk_adjacency(scaled_sim, k), adj)
+
+    def test_one_sort_matches_per_column_loop(self):
+        """Every k from 1 to N - 1 picks the loop's edges, N up to 60, on
+        asymmetric matrices with ties, signed zeros and NaN entries."""
+        rng = np.random.default_rng(7)
+        for n in range(2, 61):
+            sim = np.round(rng.uniform(-1.0, 1.0, (n, n)), 1)
+            sim[rng.random((n, n)) < 0.05] = np.nan
+            for k in range(1, n):
+                np.testing.assert_array_equal(topk_adjacency(sim, k),
+                                              topk_adjacency_loop(sim, k))
 
 
 class TestSlotGraphs:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pgad import model as model_module
-from pgad.graph import cosine_similarity, topk_adjacency
+from pgad.graph import build_adjacencies, cosine_similarity, topk_adjacency
 from pgad.model import (
     Model,
     ModelConfig,
@@ -35,7 +35,7 @@ from pgad.model import (
     windows_per_batch,
     windows_per_chunk,
 )
-from pgad.training import TrainState, batch_step, build_adjacencies
+from pgad.training import TrainState, batch_step
 
 from helpers import (
     central_difference,

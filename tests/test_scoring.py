@@ -1,6 +1,10 @@
 """Score calibration, smoothing, thresholds, and detection metrics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,17 @@ from pgad.scoring import (
 from pgad.training import TrainConfig, train
 
 from helpers import best_f1_scan, point_adjust_loop
+
+
+def test_scoring_imports_without_training():
+    """Scoring a checkpoint needs nothing from the training module."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, pgad.scoring; print('pgad.training' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestSensorErrors:

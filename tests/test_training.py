@@ -11,6 +11,7 @@ import pytest
 from pgad import _BLAS_THREAD_VARS, training
 from pgad.data import generate_synthetic
 from pgad.errors import ConfigError, DataError, DivergenceError
+from pgad.graph import build_adjacencies, slot_ids_for_windows
 from pgad import model as model_module
 from pgad.model import (
     BATCH_ROWS,
@@ -24,12 +25,10 @@ from pgad.training import (
     TrainState,
     adam_step,
     batch_step,
-    build_adjacencies,
     clip_gradients,
     grid_search,
     param_checksum,
     pool_map,
-    slot_ids_for_windows,
     train,
 )
 
