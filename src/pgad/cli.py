@@ -233,6 +233,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _output(path) -> Path:
+    """`path` as a Path, its missing parent directories created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -274,7 +281,7 @@ def cmd_period(args, file_cfg) -> int:
         period = bin_period(series.length, bin_index)
         print(f"{rank:>4}  {bin_index:>5}  {period:>6}  {amplitude:>12.6f}")
     if args.spectrum:
-        with open(args.spectrum, "w", newline="") as handle:
+        with open(_output(args.spectrum), "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["bin", "amplitude"])
             for i, amp in enumerate(profile.amplitudes, start=1):
@@ -304,7 +311,7 @@ def cmd_graph(args, file_cfg) -> int:
 
 
 def _write_loss_curve(path, epochs: list[dict]) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(_output(path), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["epoch", "train_loss", "val_loss"])
         for row in epochs:
@@ -312,7 +319,7 @@ def _write_loss_curve(path, epochs: list[dict]) -> None:
 
 
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    _output(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_train(args, file_cfg) -> int:
@@ -378,12 +385,12 @@ def cmd_score(args, file_cfg) -> int:
              list(map(str, trace.labels_pred.astype(int).tolist()))]
     if labels_true is not None:
         cells.append(list(map(str, labels_true.astype(int).tolist())))
-    with open(args.scores, "w", newline="") as handle:
+    with open(_output(args.scores), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns + ["top_sensor"])
         writer.writerows(zip(*cells, [names[i] for i in trace.top_sensor.tolist()]))
     if args.plot:
-        with open(args.plot, "w") as plot:
+        with open(_output(args.plot), "w") as plot:
             plot.write("# " + " ".join(columns[:3] + ["threshold"] + columns[3:]) + "\n")
             plot.writelines(" ".join(row) + "\n" for row in
                             zip(*cells[:3], itertools.repeat(threshold), *cells[3:]))
@@ -455,7 +462,7 @@ def cmd_sweep(args, file_cfg) -> int:
     train_series, test_series, config, options = _experiment_setup(args, file_cfg)
     rows = sweep_f1s(train_series, test_series, config, axis, values, **options)
 
-    with open(args.out, "w", newline="") as handle:
+    with open(_output(args.out), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([axis, "f1_mean"] + [f"f1_seed{s}" for s in options["seeds"]])
         for row in rows:

@@ -322,6 +322,8 @@ def generate_synthetic(
         raise DataError(f"anomaly_rate must be in [0, 0.2], got {anomaly_rate}")
     if length < 4:
         raise DataError(f"length must be >= 4, got {length}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
 
     base_rng, anom_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)

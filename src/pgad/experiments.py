@@ -7,7 +7,8 @@ changing any result.
 
 `ablation_f1s` and `sweep_f1s` raise `ConfigError` before any cell trains
 for an empty `seeds`, an unlabeled test series, an unknown variant or
-axis, an empty sweep, or a variant or swept value whose config is invalid.
+axis, an empty sweep, or a variant, swept value or seed whose config is
+invalid.
 """
 
 from __future__ import annotations
@@ -91,16 +92,16 @@ def _run_cell(args):
 
 def _mean_f1s(train_series, test_series, cells, seeds, workers, score_kwargs):
     """(mean F1 over seeds, per-seed cells) for each (label, config) of
-    `cells`, in order; all of them are checked before any cell trains."""
+    `cells`, in order; the config of every seed of every cell is checked
+    before any cell trains."""
     if not seeds:
         raise ConfigError("experiments need at least one seed")
     _require_labels(test_series)
-    validate_cells(cells)
-    jobs = [
-        (train_series, test_series, dataclasses.replace(config, seed=seed), score_kwargs)
-        for _, config in cells
-        for seed in seeds
-    ]
+    runs = [(label, dataclasses.replace(config, seed=seed))
+            for label, config in cells
+            for seed in seeds]
+    validate_cells(runs)
+    jobs = [(train_series, test_series, config, score_kwargs) for _, config in runs]
     results = pool_map(_run_cell, jobs, workers)
     out = []
     for i in range(0, len(results), len(seeds)):

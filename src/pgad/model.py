@@ -7,7 +7,8 @@ The temporal branch stacks multi-scale dilated causal convolutions over
 the raw window and reduces the flattened channels to a fixed width. The
 two features are written into one fused buffer [h_t || h_s]
 (`Model._spatial_into_fused`), layer-normalized, and mapped through a
-two-layer MLP to one next-step prediction per sensor.
+two-layer MLP to one next-step prediction per sensor. Every array takes
+the dtype of its inputs or the parameters: only `init_params` picks one.
 
 Each forward block has its backward beside it; `conv_stack` keeps each
 layer's tap and stacked filter matrices for it. `Model.backward` only
@@ -253,7 +254,7 @@ def attention_backward(att, d_alpha, embedding, att_w, att_a, slope: float = 0.2
     alpha, v = att["alpha"], att["v"]
     d_prime = v.shape[1]
     dlogit = alpha * (d_alpha - (alpha * d_alpha).sum(-1, keepdims=True))
-    draw = dlogit * np.where(att["raw"] > 0, 1.0, slope)
+    draw = np.where(att["raw"] > 0, dlogit, slope * dlogit)
     dsrc = draw.sum(axis=1)
     ddst = draw.sum(axis=0)
     dv = dsrc[:, None] * att_a[None, :d_prime] + ddst[:, None] * att_a[None, d_prime:]
@@ -308,7 +309,7 @@ def _conv_filter_matrix(filters, kmax):
     """Stack {c: (C, in_ch, c)} banks, in kernel order, into one
     (n_kernels * C, in_ch * kmax) matrix, each zero past its own size."""
     banks = [filters[c] for c in sorted(filters)]
-    out = np.zeros((sum(f.shape[0] for f in banks), banks[0].shape[1], kmax))
+    out = np.zeros((sum(f.shape[0] for f in banks), banks[0].shape[1], kmax), banks[0].dtype)
     off = 0
     for f in banks:  # slice assignment: np.pad costs ~30x more at these sizes
         out[off : off + f.shape[0], :, : f.shape[2]] = f
@@ -330,7 +331,7 @@ def conv_stack(window, filter_layers, dilation: int = 1) -> dict:
     input `x`, tap matrix `taps`, stacked filter matrix `filt`, ReLU mask
     and geometry.
     """
-    x = np.asarray(window, dtype=np.float64)[..., None, :]
+    x = np.asarray(window, dtype=next(iter(filter_layers[0].values())).dtype)[..., None, :]
     layers = []
     q = dilation
     for filters in filter_layers:
@@ -396,7 +397,7 @@ def normalize_and_predict(fused, params, ln_eps: float = 1e-5, keep: bool = True
     width = fused.shape[-1]
     hidden = params["mlp_w1"].shape[0]
     rows = fused.size // width
-    scratch = np.empty(rows * max(width, hidden))
+    scratch = np.empty(rows * max(width, hidden), fused.dtype)
     mu = np.add.reduce(fused, axis=-1, keepdims=True)
     mu /= width
     fused -= mu
@@ -635,7 +636,7 @@ class Model:
         groups = [{"idx": np.flatnonzero(slot_ids == slot), "slot": slot,
                    "att": attention[slot]} for slot in present_slots(slot_ids)]
         x_proj = project_input(windows, params["proj_w"], params["proj_b"])
-        fused = np.empty(x_proj.shape[:-1] + (self.config.fused_dim(),))
+        fused = np.empty(x_proj.shape[:-1] + (self.config.fused_dim(),), x_proj.dtype)
         saved = spatial_aggregate(
             x_proj, [g["att"]["order"] for g in groups], params["att_w"],
             [g["idx"] for g in groups], out=fused[..., -self.config.spatial_dim:])
@@ -656,7 +657,7 @@ class Model:
         Returns (predictions (B, N), ForwardTrace).
         """
         cfg = self.config
-        windows = np.asarray(windows, dtype=np.float64)
+        windows = np.asarray(windows, dtype=params["proj_w"].dtype)
         slot_ids = np.asarray(slot_ids)
         if windows.shape[1:] != (cfg.n_sensors, cfg.window):
             raise ValueError(
@@ -707,7 +708,7 @@ class Model:
         """
         cfg = self.config
         w = cfg.window
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=params["proj_w"].dtype)
         starts = np.asarray(starts)
         slot_ids = np.asarray(slot_ids)
         if values.ndim != 2 or values.shape[0] != cfg.n_sensors:
@@ -723,7 +724,7 @@ class Model:
         # only the mix orders: `forward` and the spatial blocks read no more
         attention = {slot: {"order": att["order"]} for slot, att in self.slot_attention(
             present_slots(slot_ids), adjacencies, params).items()}
-        out = np.empty((starts.size, cfg.n_sensors))
+        out = np.empty((starts.size, cfg.n_sensors), values.dtype)
         chunks = list(predict_chunks(starts, cfg.n_sensors, cfg.use_temporal))
         longest = max((hi - lo for lo, hi, fft in chunks if fft), default=0)
         if longest:

@@ -272,6 +272,8 @@ def score_series(
         raise ConfigError(f"unknown threshold mode {threshold_mode!r}")
     if threshold_mode == "fixed" and fixed_value is None:
         raise ConfigError("threshold mode 'fixed' needs a threshold value")
+    if threshold_mode == "best_f1" and test.labels is None:
+        raise ConfigError("threshold mode 'best_f1' needs labeled test data")
     config = checkpoint.config
     if test.n_sensors != config.n_sensors:
         raise DataError(
@@ -316,8 +318,6 @@ def score_series(
     elif threshold_mode == "fixed":
         threshold = float(fixed_value)
     else:
-        if truth is None:
-            raise ConfigError("threshold mode 'best_f1' needs labeled test data")
         threshold, report = best_f1_threshold(smoothed, truth, point_adjust=point_adjust)
     labels_pred = smoothed > threshold
     if truth is not None and report is None:

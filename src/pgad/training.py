@@ -91,6 +91,8 @@ class TrainConfig:
             raise ValueError(f"grad_clip must be finite and >= 0, got {self.grad_clip!r}")
         if not 0 < self.val_fraction <= 0.5:
             raise ValueError("val_fraction must lie in (0, 0.5]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.model_config(max(2, self.neighbors + 1)).validate()
 
     def model_config(self, n_sensors: int) -> ModelConfig:

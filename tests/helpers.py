@@ -353,8 +353,9 @@ def series_windows(values, starts, window: int) -> np.ndarray:
 def permutation_mismatches(seed: int) -> list[tuple]:
     """Cases where `Model.forward` is not bit-equivariant under a sensor
     permutation, over N in {2, 6, 51}, k in {1, N // 3, N - 1}, batches of
-    1 and 33 windows and 1-4 slots. k < N - 1 leaves rows of the neighbour
-    mix partly empty; k = N - 1 fills them."""
+    1 and 33 windows, 1-4 slots, and float64 and float32 parameters and
+    windows. k < N - 1 leaves rows of the neighbour mix partly empty;
+    k = N - 1 fills them."""
     rng = np.random.default_rng(seed)
     failures = []
     cases = [(n, k, batch) for n in (2, 6, 51)
@@ -368,15 +369,17 @@ def permutation_mismatches(seed: int) -> list[tuple]:
         model, params, windows, slot_ids, adjacencies, _ = random_instance(
             int(rng.integers(1 << 31)), config, batch=batch, k=k
         )
-        base, _ = model.forward(windows, slot_ids, adjacencies, params)
         perm = rng.permutation(n)
-        p_params = dict(params)
-        for s in range(slots):
-            p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
         p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
-        p_out, _ = model.forward(windows[:, perm, :], slot_ids, p_adj, p_params)
-        if not np.array_equal(p_out, base[:, perm]):
-            failures.append((n, k, batch, slots))
+        for dtype in (np.float64, np.float32):
+            typed = {name: value.astype(dtype) for name, value in params.items()}
+            base, _ = model.forward(windows.astype(dtype), slot_ids, adjacencies, typed)
+            p_params = dict(typed)
+            for s in range(slots):
+                p_params[f"emb_{s}"] = typed[f"emb_{s}"][perm]
+            p_out, _ = model.forward(windows[:, perm, :].astype(dtype), slot_ids, p_adj, p_params)
+            if not np.array_equal(p_out, base[:, perm]):
+                failures.append((n, k, batch, slots, np.dtype(dtype).name))
     return failures
 
 

@@ -74,6 +74,11 @@ class TestSynth:
         ])
         assert code == 2
 
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        code = cli.main(["synth", *TINY_SYNTH, "--seed", "-3", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
+
 
 class TestPeriod:
     def test_reports_generator_period(self, cli_workspace, capsys):
@@ -248,6 +253,19 @@ class TestTrain:
             "--loss-curve", str(tmp_path / "c.csv"),
         ])
         assert code == 1
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_one(self, cli_workspace, tmp_path, capsys, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -2}))
+        seed = ["--seed", "-2"] if source == "flag" else ["--config", str(cfg)]
+        code = cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN, *seed,
+            "--checkpoint", str(tmp_path / "m.npz"),
+        ])
+        assert code == 1
+        assert "error: seed must be >= 0, got -2" in capsys.readouterr().err
         assert not (tmp_path / "m.npz").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -620,9 +638,32 @@ class TestCorruptCheckpoint:
         assert self.exit_codes(cli_workspace, tmp_path, path) == (2, 2)
 
 
+class TestOutputDirectories:
+    """Every output path's missing parent directories are created."""
+
+    def test_train_score_and_period_create_them(self, cli_workspace, tmp_path):
+        new = tmp_path / "new"
+        assert cli.main([
+            "train", str(cli_workspace / "train.csv"), *TINY_TRAIN,
+            "--checkpoint", str(new / "c" / "m.npz"), "--report", str(new / "r" / "r.json"),
+            "--loss-curve", str(new / "l" / "l.csv"),
+        ]) == 0
+        assert cli.main([
+            "score", str(new / "c" / "m.npz"), str(cli_workspace / "test.csv"),
+            "--scores", str(new / "s" / "s.csv"), "--metrics", str(new / "m" / "m.json"),
+            "--plot", str(new / "p" / "p.dat"),
+        ]) == 0
+        assert cli.main([
+            "period", str(cli_workspace / "train.csv"),
+            "--spectrum", str(new / "f" / "f.csv"),
+        ]) == 0
+        assert sorted(p.relative_to(new).as_posix() for p in new.rglob("*.*")) == [
+            "c/m.npz", "f/f.csv", "l/l.csv", "m/m.json", "p/p.dat", "r/r.json", "s/s.csv"]
+
+
 class TestAblateCommand:
     def test_table_and_json(self, cli_workspace, tmp_path, capsys):
-        out = tmp_path / "ablation.json"
+        out = tmp_path / "new" / "ablation.json"  # a missing directory is created
         assert cli.main([
             "ablate", str(cli_workspace / "train.csv"),
             str(cli_workspace / "test.csv"), *TINY_TRAIN,
@@ -666,21 +707,37 @@ class TestAblateCommand:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("command, axis", [("ablate", []), ("sweep", ["--neighbors", "1"])],
-                             ids=["ablate", "sweep"])
-    def test_empty_seeds_exits_one_before_any_cell(self, cli_workspace, tmp_path, capsys,
-                                                   monkeypatch, command, axis):
+    @staticmethod
+    def bad_seeds_exit_one_before_any_cell(cli_workspace, tmp_path, capsys, monkeypatch,
+                                           command, axis, seeds, message):
         trained = []
         monkeypatch.setattr(experiments, "train", lambda *args: trained.append(args))
         code = cli.main([
             command, str(cli_workspace / "train.csv"), str(cli_workspace / "test.csv"),
-            *without_flag(TINY_TRAIN, "--neighbors"), *axis, "--seeds", ",",
+            *without_flag(TINY_TRAIN, "--neighbors"), *axis, f"--seeds={seeds}",
             "--out", str(tmp_path / "out"),
         ])
         assert code == 1
-        assert "error: experiments need at least one seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert trained == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, axis", [("ablate", []), ("sweep", ["--neighbors", "1"])],
+                             ids=["ablate", "sweep"])
+    def test_empty_seeds_exits_one_before_any_cell(self, cli_workspace, tmp_path, capsys,
+                                                   monkeypatch, command, axis):
+        self.bad_seeds_exit_one_before_any_cell(cli_workspace, tmp_path, capsys, monkeypatch,
+                                                command, axis, ",",
+                                                "experiments need at least one seed")
+
+    @pytest.mark.parametrize("command, axis", [("ablate", []), ("sweep", ["--neighbors", "1"])],
+                             ids=["ablate", "sweep"])
+    def test_negative_seed_exits_one_before_any_cell(self, cli_workspace, tmp_path, capsys,
+                                                     monkeypatch, command, axis):
+        self.bad_seeds_exit_one_before_any_cell(cli_workspace, tmp_path, capsys, monkeypatch,
+                                                command, axis, "0,-1",
+                                                "seed must be >= 0, got -1")
 
     def test_aperiodic_fallback_warns(self, tmp_path, caplog):
         rng = np.random.default_rng(0)
@@ -704,7 +761,7 @@ class TestAblateCommand:
 
 class TestSweepCommand:
     def test_neighbor_sweep_csv(self, cli_workspace, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / "new" / "sweep.csv"  # a missing directory is created
         assert cli.main([
             "sweep", str(cli_workspace / "train.csv"),
             str(cli_workspace / "test.csv"),

@@ -296,11 +296,12 @@ class TestSyntheticGenerator:
             dict(n_sensors=2, length=3, period=24, anomaly_rate=0.0),
             dict(n_sensors=2, length=100, period=1, anomaly_rate=0.0),
             dict(n_sensors=2, length=100, period=24, anomaly_rate=0.5),
+            dict(n_sensors=2, length=100, period=24, anomaly_rate=0.0, seed=-1),
         ],
     )
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DataError):
-            generate_synthetic(seed=0, **kwargs)
+            generate_synthetic(**{"seed": 0, **kwargs})
 
 
 class TestSeriesMatrix:

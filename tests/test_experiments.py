@@ -107,11 +107,12 @@ class TestCells:
     @pytest.mark.parametrize("seeds, labeled, message", [
         ((), True, "experiments need at least one seed"),
         ((0,), False, "experiment scoring needs labeled test data"),
-    ], ids=["no-seeds", "unlabeled"])
+        ((0, -1), True, "seed must be >= 0, got -1"),
+    ], ids=["no-seeds", "unlabeled", "negative-seed"])
     def test_bad_cells_rejected_before_any_cell(self, tiny_splits, monkeypatch, run,
                                                 seeds, labeled, message):
-        """Empty seeds and an unlabeled test series are ConfigErrors raised
-        before any cell trains."""
+        """Empty seeds, an unlabeled test series and a negative seed among
+        valid ones are ConfigErrors raised before any cell trains."""
         train_series, test_series = tiny_splits
         if not labeled:
             test_series = SeriesMatrix(test_series.values, test_series.sensor_names)

@@ -626,18 +626,29 @@ def predict_instance(seed, n, n_windows, stride, **overrides):
     return model, params, adjacencies, starts, values, slot_ids
 
 
-def predict_permutes_output(n: int, workers: int) -> bool:
-    """Whether permuting the sensors of a series permutes `predict`'s output
-    bit for bit."""
-    model, params, adjacencies, starts, values, slot_ids = predict_instance(600 + n, n, 90, 1)
-    base = model.predict(starts, values, slot_ids, adjacencies, params, workers=workers)
-    perm = np.random.default_rng(n).permutation(n)
-    p_params = dict(params)
-    for s in range(PREDICT_SLOTS):
-        p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
-    p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
-    p_out = model.predict(starts, values[perm], slot_ids, p_adj, p_params, workers=workers)
-    return np.array_equal(p_out, base[:, perm])
+def predict_permutation_mismatches(n: int, workers: int) -> list[tuple]:
+    """The (stride, dtype) cases in which permuting the sensors of a series
+    does not permute `predict`'s output bit for bit: consecutive windows,
+    which take the FFT chunks, and stride-3 ones, which run `forward`, each
+    with float64 and float32 parameters and series."""
+    failures = []
+    for stride in (1, 3):
+        model, params, adjacencies, starts, values, slot_ids = predict_instance(
+            600 + n, n, 90, stride)
+        perm = np.random.default_rng(n).permutation(n)
+        p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
+        for dtype in (np.float64, np.float32):
+            typed = {name: value.astype(dtype) for name, value in params.items()}
+            base = model.predict(starts, values.astype(dtype), slot_ids, adjacencies, typed,
+                                 workers=workers)
+            p_params = dict(typed)
+            for s in range(PREDICT_SLOTS):
+                p_params[f"emb_{s}"] = typed[f"emb_{s}"][perm]
+            p_out = model.predict(starts, values[perm].astype(dtype), slot_ids, p_adj, p_params,
+                                  workers=workers)
+            if not np.array_equal(p_out, base[:, perm]):
+                failures.append((stride, np.dtype(dtype).name))
+    return failures
 
 
 def chunk_runs(model, pooled: bool, failing: str | None = None):
@@ -904,7 +915,7 @@ class TestPredictOverSeries:
 
     @pytest.mark.parametrize("n", [8, 51])
     def test_sensor_permutation_permutes_output(self, n):
-        assert predict_permutes_output(n, workers=1)
+        assert predict_permutation_mismatches(n, workers=1) == []
 
     def test_bad_starts_raise(self):
         model, params, adjacencies, starts, values, slot_ids = predict_instance(7, 4, 20, 2)
@@ -1178,7 +1189,7 @@ class TestPermutationExactness:
 
     @pytest.mark.parametrize("n", [8, 51])
     def test_predict_equivariant_on_two_workers(self, n):
-        assert predict_permutes_output(n, workers=2)
+        assert predict_permutation_mismatches(n, workers=2) == []
 
     def test_micro_batched_step_permutes_its_predictions(self):
         """At N=51 a batch of 32 runs as four micro-batches; each one's
@@ -1227,6 +1238,82 @@ class TestPermutationExactness:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+# every block of `pgad.model` whose returned arrays the float32 test checks
+DTYPE_BLOCKS = (
+    "project_input", "attention_coefficients", "mix_order", "spatial_aggregate",
+    "conv_stack", "normalize_and_predict", "kernel_spectrum", "correlate_span",
+    "project_input_backward", "attention_backward", "spatial_aggregate_backward",
+    "conv_stack_backward", "normalize_and_predict_backward",
+)
+# float32 `predict` against float64's at the initial parameters, where the
+# mean |prediction| is 0.13-0.18: at most 4.3e-7 apart in the cases below
+FLOAT32_PREDICT_BOUND = 2e-6
+
+
+def double_arrays(value, where: str) -> list[str]:
+    """The paths under `value` (nested dicts, lists and tuples) of every
+    float64 or complex128 array or scalar."""
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in double_arrays(item, f"{where}.{key}")]
+    if isinstance(value, (list, tuple)):
+        return [p for i, item in enumerate(value) for p in double_arrays(item, f"{where}[{i}]")]
+    if isinstance(value, (np.ndarray, np.generic)) and value.dtype in (np.float64, np.complex128):
+        return [where]
+    return []
+
+
+class TestComputeDtype:
+    """The parameters' dtype is the model's compute dtype: float32 parameters
+    and inputs yield no float64 array in any block, trace or grad."""
+
+    @pytest.mark.parametrize("n, k, overrides", [
+        (8, 7, {}), (8, 7, {"use_temporal": False}), (8, 7, {"tcn_layers": 2}), (51, 15, {}),
+    ])
+    def test_float32_parameters_keep_every_array_float32(self, monkeypatch, n, k, overrides):
+        config = ModelConfig(n_sensors=n, **overrides)
+        model = Model(config)
+        rng = np.random.default_rng(n)
+        params = model.init_params(rng)
+        single = {name: value.astype(np.float32) for name, value in params.items()}
+        adjacencies = build_adjacencies(params, config.slots, k)
+        n_windows = 2 * windows_per_chunk(n) + 3
+        values = rng.normal(size=(n, 3 * n_windows + config.window))
+        slot_ids = rng.integers(0, config.slots, n_windows)
+        # consecutive starts take the FFT chunks, stride 3 the `forward` ones
+        starts = {stride: stride * np.arange(n_windows) for stride in (1, 3)}
+        expected = {stride: model.predict(s, values, slot_ids, adjacencies, params)
+                    for stride, s in starts.items()}
+
+        doubles = []
+        for name in DTYPE_BLOCKS:
+            def recording(*args, _block=getattr(model_module, name), _name=name, **kwargs):
+                out = _block(*args, **kwargs)
+                doubles.extend(double_arrays(out, _name))
+                return out
+
+            monkeypatch.setattr(model_module, name, recording)
+
+        batch = min(windows_per_batch(n), n_windows)
+        windows = series_windows(values, np.arange(batch), config.window).astype(np.float32)
+        preds, trace = model.forward(windows, slot_ids[:batch], adjacencies, single)
+        doubles += double_arrays(preds, "preds")
+        doubles += double_arrays(trace.batch, "trace.batch")
+        doubles += double_arrays(trace.groups, "trace.groups")
+        grads = {name: np.zeros_like(value) for name, value in single.items()}
+        attention = {g["slot"]: g["att"] for g in trace.groups}
+        d_alphas = {slot: np.zeros_like(att["alpha"]) for slot, att in attention.items()}
+        d_preds = rng.normal(size=preds.shape).astype(np.float32)
+        model.backward(trace, d_preds, single, grads, d_alphas)
+        model.attention_grads(grads, attention, d_alphas, single)
+        doubles += double_arrays(d_alphas, "d_alphas")
+
+        for stride, s in starts.items():
+            out = model.predict(s, values.astype(np.float32), slot_ids, adjacencies, single)
+            doubles += double_arrays(out, f"predict stride {stride}")
+            assert np.abs(out - expected[stride]).max() <= FLOAT32_PREDICT_BOUND, stride
+        assert doubles == []
 
 
 class TestModelConfigValidation:

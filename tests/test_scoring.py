@@ -12,6 +12,7 @@ import pytest
 from pgad.checkpoint import checkpoint_from_result
 from pgad.data import SeriesMatrix, generate_synthetic
 from pgad.errors import ConfigError, DataError
+from pgad.model import Model
 from pgad.scoring import (
     IQR_EPS,
     ScoreCalibration,
@@ -376,11 +377,17 @@ class TestScoreSeries:
         with pytest.raises(ConfigError):
             score_series(ckpt, test_part, threshold_mode="quantile")
 
-    def test_best_f1_needs_labels(self, pipeline):
+    def test_best_f1_needs_labels(self, pipeline, monkeypatch):
+        """The check runs before any window is predicted."""
         ckpt, test_part = pipeline
         unlabeled = test_part.slice_time(0, test_part.length)
         unlabeled.labels = None
-        with pytest.raises(ConfigError):
+
+        def no_predict(*args, **kwargs):
+            raise AssertionError("predicted before checking the labels")
+
+        monkeypatch.setattr(Model, "predict", no_predict)
+        with pytest.raises(ConfigError, match="threshold mode 'best_f1' needs labeled test data"):
             score_series(ckpt, unlabeled, threshold_mode="best_f1")
 
     def test_sensor_count_mismatch_rejected(self, pipeline):

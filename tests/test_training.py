@@ -535,6 +535,7 @@ class TestTrainConfigValidation:
             dict(grad_clip=float("nan")),
             dict(grad_clip=float("inf")),
             dict(val_fraction=0.8),
+            dict(seed=-1),
         ],
     )
     def test_bad_values_rejected(self, overrides):
