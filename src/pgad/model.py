@@ -8,7 +8,10 @@ the raw window and reduces the flattened channels to a fixed width. The
 two features are written into one fused buffer [h_t || h_s]
 (`Model._spatial_into_fused`), layer-normalized, and mapped through a
 two-layer MLP to one next-step prediction per sensor. Every array takes
-the dtype of its inputs or the parameters: only `init_params` picks one.
+the dtype of its inputs or the parameters. Only `init_params` (float64)
+and `compute_params` (float32) pick one: training and scoring hand the
+model `compute_params` copies of the float64 parameters, while float64
+parameters compute in float64, bit for bit as before.
 
 Each forward block has its backward beside it; `conv_stack` keeps each
 layer's tap and stacked filter matrices for it. `Model.backward` only
@@ -270,6 +273,7 @@ def spatial_aggregate(x_proj, orders, att_w, rows, out=None) -> dict:
     features `wx` and the ReLU mask.
     """
     wx = _rowwise(x_proj, att_w)
+    del x_proj  # freed here unless the caller holds it
     pre_s = np.empty_like(wx) if out is None else out
     for idx, order in zip(rows, orders):
         pre_s[idx] = _alpha_order_mix(order, wx[idx])
@@ -472,6 +476,13 @@ def windows_per_chunk(n_sensors: int) -> int:
     return max(1, PREDICT_ROWS // n_sensors)
 
 
+def compute_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """float32 copies of `params`, the parameters `train`'s steps and every
+    `predict` of `train` and `score` compute with. The float64 originals
+    stay the master copy that Adam updates and the checkpoint stores."""
+    return {name: value.astype(np.float32) for name, value in params.items()}
+
+
 def present_slots(slot_ids) -> list[int]:
     """The distinct slot ids, ascending. `np.unique` would import numpy.ma
     on its first call, which costs more than the whole sort."""
@@ -625,23 +636,26 @@ class Model:
         return [{c: params[f"conv{l}_k{c}"] for c in cfg.kernel_sizes}
                 for l in range(cfg.tcn_layers)]
 
-    def _spatial_into_fused(self, windows, slot_ids, attention, params):
+    def _spatial_into_fused(self, windows, slot_ids, attention, params, keep: bool = True):
         """The spatial branch of windows (B, N, w) with slot ids (B,): the
         input projection, then the neighbour mix of each slot's rows in
         the `order` of attention[slot]. Returns the slot groups
         (`ForwardTrace.groups`), the values backward needs, and one
         (B, N, T + S) buffer whose last S columns hold h_s, for the caller
         to write h_t into its first T; without the temporal branch, h_s
-        itself."""
+        itself. Without `keep`, no name holds the projected inputs x_proj,
+        so `spatial_aggregate` frees them once it has formed wx, before
+        the mix, and the values omit them."""
         groups = [{"idx": np.flatnonzero(slot_ids == slot), "slot": slot,
                    "att": attention[slot]} for slot in present_slots(slot_ids)]
-        x_proj = project_input(windows, params["proj_w"], params["proj_b"])
-        fused = np.empty(x_proj.shape[:-1] + (self.config.fused_dim(),), x_proj.dtype)
+        values = {"window": windows,
+                  "x_proj": project_input(windows, params["proj_w"], params["proj_b"])}
+        fused = np.empty(windows.shape[:-1] + (self.config.fused_dim(),), windows.dtype)
         saved = spatial_aggregate(
-            x_proj, [g["att"]["order"] for g in groups], params["att_w"],
+            values["x_proj"] if keep else values.pop("x_proj"),
+            [g["att"]["order"] for g in groups], params["att_w"],
             [g["idx"] for g in groups], out=fused[..., -self.config.spatial_dim:])
-        values = {"window": windows, "x_proj": x_proj, "wx": saved["wx"],
-                  "s_mask": saved["s_mask"]}
+        values.update(wx=saved["wx"], s_mask=saved["s_mask"])
         return groups, values, fused
 
     def forward(self, windows, slot_ids, adjacencies, params, attention=None):
@@ -686,7 +700,8 @@ class Model:
         `predict_chunks`, which also names each chunk's path. A chunk that
         takes the FFT copies its span of the series and runs the spatial
         branch over its windows as `forward` does (`_spatial_into_fused`),
-        keeping only the fused (windows, N, T + S) buffer that holds h_s.
+        but frees the projected inputs before the mix and keeps only the
+        fused (windows, N, T + S) buffer that holds h_s.
         It then runs the conv stack once over the span; h_t is the
         cross-correlation of the span's conv features with `tred_w`
         (`correlate_span`), which drops the features once transformed, and
@@ -743,7 +758,7 @@ class Model:
             span = np.ascontiguousarray(values[:, starts[lo] : starts[hi - 1] + w])
             fused = self._spatial_into_fused(
                 np.moveaxis(np.lib.stride_tricks.sliding_window_view(span, w, axis=-1), 1, 0),
-                slot_ids[lo:hi], attention, params)[2]
+                slot_ids[lo:hi], attention, params, False)[2]  # keep no x_proj
             # no name holds the span's conv features: correlate_span drops them
             np.add(correlate_span(
                 conv_stack(span, filter_layers, cfg.dilation)["t_flat"].reshape(

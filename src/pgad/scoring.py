@@ -6,6 +6,11 @@ aggregated across sensors by max, and smoothed with a trailing moving
 average. Labels come from one of three threshold policies; detection
 quality is reported as precision, recall, and F1, optionally with
 segment-level point adjustment.
+
+The model predicts in float32, on `model.compute_params` copies of the
+checkpoint's float64 parameters; the graphs are built from the float64
+embeddings, and the errors, calibration, scores, thresholds and metrics
+are float64.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .checkpoint import Checkpoint
 from .data import SeriesMatrix, make_windows
 from .errors import ConfigError, DataError
 from .graph import build_adjacencies, slot_ids_for_windows
-from .model import Model
+from .model import Model, compute_params
 
 IQR_EPS = 1e-6
 
@@ -299,8 +304,8 @@ def score_series(
     )
     model = Model(config)
     preds = model.predict(
-        batch.window_start_indices, normalized.values, slots, adjacencies, checkpoint.params,
-        workers=workers,
+        batch.window_start_indices, normalized.values, slots, adjacencies,
+        compute_params(checkpoint.params), workers=workers,
     )
 
     errors = sensor_errors(preds, batch.targets)

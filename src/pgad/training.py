@@ -17,8 +17,14 @@ forward trace stays about the same size at any N (`batch_step`). Their
 count depends only on the batch size and N.
 
 The parameters, their gradients and Adam's two moments are four flat
-vectors with named views (`TrainState`): Adam updates whole vectors, and
-the best epoch's parameters are one vector copy.
+float64 vectors with named views (`TrainState`): Adam updates whole
+vectors, and the best epoch's parameters are one vector copy. The model
+computes in float32 (mixed precision over a float64 master copy): each
+step runs on `model.compute_params` copies of the parameters and adds its
+grads into the float64 gradient vector, and every `predict` (epoch 0's
+fit loss, each validation loss and the final `val_errors`) takes the same
+copies. The adjacencies, gradient clipping, Adam, the losses and
+`val_errors` stay float64.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .checkpoint import param_checksum
 from .data import NORMALIZATION_MODES, SeriesMatrix, fit_normalizer, make_windows
 from .errors import ConfigError, DataError, DivergenceError
 from .graph import build_adjacencies, slot_ids_for_windows
-from .model import Model, ModelConfig, present_slots, windows_per_batch
+from .model import Model, ModelConfig, compute_params, present_slots, windows_per_batch
 from .period import PeriodProfile, detect_period
 from .scoring import MIN_VAL_WINDOWS
 
@@ -124,11 +130,17 @@ class TrainState:
 
 
 def _mse(diff: np.ndarray) -> float:
-    return float(np.mean(diff * diff))
+    return float(np.mean(diff * diff, dtype=np.float64))
 
 
-def batch_step(model: Model, windows, slot_ids, targets, adjacencies, state: TrainState) -> float:
+def batch_step(model: Model, windows, slot_ids, targets, adjacencies, state: TrainState,
+               params: dict[str, np.ndarray] | None = None) -> float:
     """Mean squared error of one batch (B, N, w); its grads overwrite `state.grads`.
+
+    The step computes with `params`, by default `state.params`, in their
+    dtype: `targets` are cast to it, so float32 parameters keep every
+    activation, trace and grad float32. Each block's grads add into the
+    float64 `state.grads`, and the loss is averaged in float64.
 
     The batch is cut evenly (`np.array_split`) into ceil(B / k) micro-batches
     of at most k = `windows_per_batch(N)` windows, run one after another.
@@ -143,10 +155,11 @@ def batch_step(model: Model, windows, slot_ids, targets, adjacencies, state: Tra
     micro-batch this is exactly one `forward` and `backward` of the whole
     batch.
     """
+    params = state.params if params is None else params
+    targets = np.asarray(targets, dtype=params["proj_w"].dtype)
     n_batch, n_sensors = targets.shape
     count = -(-n_batch // windows_per_batch(n_sensors))
     scale = 2.0 / targets.size
-    params = state.params
     attention = model.slot_attention(present_slots(slot_ids), adjacencies, params)
     d_alphas = {slot: np.zeros_like(att["alpha"]) for slot, att in attention.items()}
     state.grad_vec.fill(0.0)
@@ -272,8 +285,10 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
     )
 
     def residuals(part: slice, adjacencies) -> np.ndarray:
-        """`predict` over the windows in `part` minus their targets."""
-        preds = model.predict(starts[part], normalized.values, slots[part], adjacencies, params)
+        """float32 `predict` over the windows in `part` minus their float64
+        targets, in float64."""
+        preds = model.predict(starts[part], normalized.values, slots[part], adjacencies,
+                              compute_params(params))
         return preds - batch.targets[part]
 
     best = state.param_vec.copy()
@@ -290,7 +305,7 @@ def train(series: SeriesMatrix, config: TrainConfig) -> TrainResult:
                 for lo in range(0, n_train, config.batch_size):
                     sel = order[lo : lo + config.batch_size]
                     loss = batch_step(model, batch.windows[sel], slots[sel], batch.targets[sel],
-                                      adjacencies, state)
+                                      adjacencies, state, compute_params(params))
                     if not np.isfinite(loss):
                         raise DivergenceError(f"loss became non-finite in epoch {epoch}")
                     loss_sum += loss * sel.size

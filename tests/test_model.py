@@ -6,12 +6,16 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pgad import model as model_module
+from pgad import training
+from pgad.checkpoint import checkpoint_from_result, load_checkpoint, save_checkpoint
+from pgad.data import generate_synthetic
 from pgad.graph import build_adjacencies, cosine_similarity, topk_adjacency
 from pgad.model import (
     Model,
@@ -19,6 +23,7 @@ from pgad.model import (
     _alpha_order_mix,
     attention_backward,
     attention_coefficients,
+    compute_params,
     conv_stack,
     conv_stack_backward,
     correlate_span,
@@ -35,7 +40,8 @@ from pgad.model import (
     windows_per_batch,
     windows_per_chunk,
 )
-from pgad.training import TrainState, batch_step
+from pgad.scoring import score_series
+from pgad.training import TrainConfig, TrainState, batch_step, train
 
 from helpers import (
     central_difference,
@@ -977,6 +983,40 @@ class TestPeakMemory:
         out, peak = traced_peak(model.predict, starts, values, slot_ids, adjacencies, params)
         assert peak <= 1.15 * forward_peak + out.nbytes
 
+    @pytest.mark.parametrize("n", [8, 51])
+    def test_fft_chunks_free_the_projected_inputs_before_the_mix(self, monkeypatch, n):
+        """On `predict`'s FFT chunks no name holds the projected inputs
+        x_proj once wx is formed: they are gone while the neighbour mix
+        runs. `forward`, and so every strided chunk, keeps them for the
+        backward."""
+        config = ModelConfig(n_sensors=n)
+        model = Model(config)
+        rng = np.random.default_rng(n)
+        params = compute_params(model.init_params(rng))
+        adjacencies = build_adjacencies(params, config.slots, min(15, n - 1))
+        starts = np.arange(2 * windows_per_chunk(n) + 5)
+        values = rng.normal(size=(n, 3 * starts[-1] + config.window + 1))
+        slot_ids = starts % config.slots
+        projected, alive = [], []
+        project, mix = model_module.project_input, model_module._alpha_order_mix
+
+        def recording_project(*args, **kwargs):
+            out = project(*args, **kwargs)
+            projected.append(weakref.ref(out))
+            return out
+
+        def recording_mix(*args):
+            alive.append(projected[-1]() is not None)
+            return mix(*args)
+
+        monkeypatch.setattr(model_module, "project_input", recording_project)
+        monkeypatch.setattr(model_module, "_alpha_order_mix", recording_mix)
+        model.predict(starts, values, slot_ids, adjacencies, params)
+        assert len(alive) == 3 * config.slots and not any(alive)
+        del alive[:]
+        model.predict(3 * starts, values, slot_ids, adjacencies, params)
+        assert alive and all(alive)
+
     def test_backward_releases_the_conv_features(self):
         model, params, windows, slot_ids, adjacencies, _ = random_instance(
             3, tiny_model_config(), batch=5)
@@ -1195,6 +1235,16 @@ class TestPermutationExactness:
         """At N=51 a batch of 32 runs as four micro-batches; each one's
         predictions permute bit for bit. The grads sum over the sensors, so
         they permute only to rounding, as the whole-batch step's do."""
+        self.check_micro_batched_step(single=False, grad_bound=1e-12)
+
+    def test_micro_batched_float32_step_permutes_its_predictions(self):
+        """The same on `compute_params` copies: the predictions still permute
+        bit for bit. The grads' rounding was 3.8e-7 here, and at most
+        4.4e-7 over 8 instances and 3 permutations each."""
+        self.check_micro_batched_step(single=True, grad_bound=2e-6)
+
+    @staticmethod
+    def check_micro_batched_step(single: bool, grad_bound: float) -> None:
         config = tiny_model_config(n_sensors=51, window=32, embed_dim=16, spatial_dim=16,
                                    temporal_dim=8, hidden_dim=32, slots=3)
         model, params, windows, slot_ids, adjacencies, targets = random_instance(
@@ -1209,20 +1259,23 @@ class TestPermutationExactness:
 
         model.forward = recording
         state = TrainState(params)
-        batch_step(model, windows, slot_ids, targets, adjacencies, state)
+        batch_step(model, windows, slot_ids, targets, adjacencies, state,
+                   *([compute_params(params)] if single else []))
         perm = np.random.default_rng(51).permutation(51)
         p_params = dict(params)
         for s in range(config.slots):
             p_params[f"emb_{s}"] = params[f"emb_{s}"][perm]
         p_adj = [a[np.ix_(perm, perm)] for a in adjacencies]
         p_state = TrainState(p_params)
-        batch_step(model, windows[:, perm], slot_ids, targets[:, perm], p_adj, p_state)
+        batch_step(model, windows[:, perm], slot_ids, targets[:, perm], p_adj, p_state,
+                   *([compute_params(p_params)] if single else []))
         assert len(preds) == 8
+        assert {p.dtype.name for p in preds} == {"float32" if single else "float64"}
         for base, moved in zip(preds[:4], preds[4:]):
             np.testing.assert_array_equal(moved, base[:, perm])
         for name, grad in state.grads.items():
             want = grad[perm] if name.startswith("emb_") else grad
-            assert grad_rel_err(p_state.grads[name], want) <= 1e-12, name
+            assert grad_rel_err(p_state.grads[name], want) <= grad_bound, name
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_forward_equivariant_with_pinned_blas_threads(self, threads):
@@ -1264,9 +1317,35 @@ def double_arrays(value, where: str) -> list[str]:
     return []
 
 
+def record_block_doubles(monkeypatch) -> list[str]:
+    """Wraps every block of `DTYPE_BLOCKS`; the returned list collects the
+    path of each float64 or complex128 array they return."""
+    doubles = []
+    for name in DTYPE_BLOCKS:
+        def recording(*args, _block=getattr(model_module, name), _name=name, **kwargs):
+            out = _block(*args, **kwargs)
+            doubles.extend(double_arrays(out, _name))
+            return out
+
+        monkeypatch.setattr(model_module, name, recording)
+    return doubles
+
+
+def dtype_names(params) -> set[str]:
+    return {np.asarray(value).dtype.name for value in params.values()}
+
+
+# a small model on a labeled 4-sensor series, for `train` and `score_series`
+DTYPE_TRAIN = TrainConfig(window=24, neighbors=3, slots=2, epochs=2, patience=2,
+                          embed_dim=8, spatial_dim=8, channels=2, temporal_dim=8,
+                          hidden_dim=16)
+
+
 class TestComputeDtype:
     """The parameters' dtype is the model's compute dtype: float32 parameters
-    and inputs yield no float64 array in any block, trace or grad."""
+    and inputs yield no float64 array in any block, trace or grad. `train`
+    and `score_series` compute on float32 copies (`compute_params`) of
+    float64 master parameters."""
 
     @pytest.mark.parametrize("n, k, overrides", [
         (8, 7, {}), (8, 7, {"use_temporal": False}), (8, 7, {"tcn_layers": 2}), (51, 15, {}),
@@ -1286,15 +1365,7 @@ class TestComputeDtype:
         expected = {stride: model.predict(s, values, slot_ids, adjacencies, params)
                     for stride, s in starts.items()}
 
-        doubles = []
-        for name in DTYPE_BLOCKS:
-            def recording(*args, _block=getattr(model_module, name), _name=name, **kwargs):
-                out = _block(*args, **kwargs)
-                doubles.extend(double_arrays(out, _name))
-                return out
-
-            monkeypatch.setattr(model_module, name, recording)
-
+        doubles = record_block_doubles(monkeypatch)
         batch = min(windows_per_batch(n), n_windows)
         windows = series_windows(values, np.arange(batch), config.window).astype(np.float32)
         preds, trace = model.forward(windows, slot_ids[:batch], adjacencies, single)
@@ -1314,6 +1385,107 @@ class TestComputeDtype:
             doubles += double_arrays(out, f"predict stride {stride}")
             assert np.abs(out - expected[stride]).max() <= FLOAT32_PREDICT_BOUND, stride
         assert doubles == []
+
+    @pytest.mark.parametrize("n, k, overrides", [
+        (8, 7, {}), (8, 7, {"use_temporal": False}), (8, 7, {"tcn_layers": 2}), (51, 15, {}),
+    ])
+    def test_float32_step_keeps_every_array_float32(self, monkeypatch, n, k, overrides):
+        """`batch_step` on float32 parameters, with the float64 windows and
+        targets that `train` passes, over two micro-batches: no block
+        returns a float64 array, and every trace, d(loss)/d(pred) and
+        d(loss)/d(alpha) is float32. The grads land in the float64 state."""
+        config = ModelConfig(n_sensors=n, **overrides)
+        model = Model(config)
+        rng = np.random.default_rng(n)
+        params = model.init_params(rng)
+        adjacencies = build_adjacencies(params, config.slots, k)
+        batch = windows_per_batch(n) + 3
+        values = rng.normal(size=(n, batch + config.window))
+        starts = np.arange(batch)
+        windows = series_windows(values, starts, config.window)
+        targets = values[:, starts + config.window].T
+        slot_ids = starts % config.slots
+
+        doubles = record_block_doubles(monkeypatch)
+        backward, attention_grads = model.backward, model.attention_grads
+        calls = []
+
+        def recording_backward(trace, d_preds, *args):
+            calls.append("backward")
+            doubles.extend(double_arrays(trace.batch, "trace.batch")
+                           + double_arrays(trace.groups, "trace.groups")
+                           + double_arrays(d_preds, "d_preds"))
+            return backward(trace, d_preds, *args)
+
+        def recording_attention_grads(grads, attention, d_alphas, params):
+            calls.append("attention_grads")
+            doubles.extend(double_arrays(d_alphas, "d_alphas"))
+            return attention_grads(grads, attention, d_alphas, params)
+
+        model.backward, model.attention_grads = recording_backward, recording_attention_grads
+        state = TrainState(params)
+        loss = batch_step(model, windows, slot_ids, targets, adjacencies, state,
+                          compute_params(params))
+        assert calls == ["backward", "backward", "attention_grads"]
+        assert doubles == []
+        assert isinstance(loss, float) and loss > 0.0
+        assert state.grad_vec.dtype == np.float64
+        assert np.abs(state.grad_vec).max() > 0.0
+
+    def test_train_and_score_hand_the_model_float32(self, monkeypatch):
+        """Every `Model.forward` and `Model.predict` call of `train` (its
+        steps, fit and validation losses and `val_errors`) and of
+        `score_series` gets float32 parameters."""
+        full = generate_synthetic(4, 480, 24, 0.05, seed=1)
+        seen = {"forward": [], "predict": []}
+        forward, predict = Model.forward, Model.predict
+
+        def recording_forward(self, windows, slot_ids, adjacencies, params, *args):
+            seen["forward"].append(dtype_names(params))
+            return forward(self, windows, slot_ids, adjacencies, params, *args)
+
+        def recording_predict(self, starts, values, slot_ids, adjacencies, params, **kwargs):
+            seen["predict"].append(dtype_names(params))
+            return predict(self, starts, values, slot_ids, adjacencies, params, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", recording_forward)
+        monkeypatch.setattr(Model, "predict", recording_predict)
+        result = train(full.slice_time(0, 240), DTYPE_TRAIN)
+        # epoch 0's fit and validation losses, one validation loss per
+        # later epoch and the final `val_errors`
+        assert len(seen["predict"]) == 2 + DTYPE_TRAIN.epochs + 1
+        checkpoint = checkpoint_from_result(result, full.sensor_names)
+        score_series(checkpoint, full.slice_time(240, 480), threshold_mode="best_f1")
+        assert len(seen["predict"]) == 2 + DTYPE_TRAIN.epochs + 2
+        assert seen["forward"]
+        for call in seen["forward"] + seen["predict"]:
+            assert call == {"float32"}
+
+    def test_master_state_stays_float64(self, monkeypatch, tmp_path):
+        """The training state's four vectors at every Adam step, the trained
+        parameters, `val_errors` and every checkpoint array are float64."""
+        full = generate_synthetic(4, 480, 24, 0.05, seed=1)
+        states = []
+        adam_step = training.adam_step
+
+        def recording(state, lr):
+            states.append({vec.dtype.name for vec in (state.param_vec, state.grad_vec,
+                                                      state.m, state.v)})
+            states.append(dtype_names(state.params) | dtype_names(state.grads))
+            return adam_step(state, lr)
+
+        monkeypatch.setattr(training, "adam_step", recording)
+        result = train(full.slice_time(0, 240), DTYPE_TRAIN)
+        assert states and all(names == {"float64"} for names in states)
+        assert dtype_names(result.params) == {"float64"}
+        assert result.val_errors.dtype == np.float64
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, checkpoint_from_result(result, full.sensor_names))
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files if name != "meta"}
+        assert "val_errors" in arrays and len(arrays) == 1 + len(result.params)
+        assert dtype_names(arrays) == {"float64"}
+        assert dtype_names(load_checkpoint(path).params) == {"float64"}
 
 
 class TestModelConfigValidation:

@@ -19,6 +19,7 @@ from pgad.model import (
     ModelConfig,
     attention_backward,
     attention_coefficients,
+    compute_params,
 )
 from pgad.training import (
     TrainConfig,
@@ -258,7 +259,7 @@ class TestTrainLoop:
         )
         preds = model.predict(
             batch.window_start_indices[-n_val:], normalized.values, slots[-n_val:],
-            adjacencies, result.params,
+            adjacencies, compute_params(result.params),
         )
         errors = np.abs(preds - batch.targets[-n_val:])
         np.testing.assert_array_equal(errors, result.val_errors)
@@ -315,7 +316,7 @@ class TestTrainLoop:
         adjacencies = build_adjacencies(params, SMALL_CONFIG.slots, report.neighbors_effective)
         preds = model.predict(starts, normalized.values,
                               slot_ids_for_windows(starts, report.period, SMALL_CONFIG.slots),
-                              adjacencies, params)
+                              adjacencies, compute_params(params))
         diff = preds - batch.targets[:n_fit]
         assert report.epochs[0]["train_loss"] == float(np.mean(diff * diff))
 
